@@ -16,11 +16,11 @@
 //  * wall_gbps    — decrypted bits / wall-clock window. Honest about this
 //                   box, meaningless for scaling claims on a small one.
 //  * capacity_gbps — decrypted bits / busiest-loop CPU time over the same
-//                   window: the single-core-honest capacity metric the
-//                   Fig. 7 scaling bench already uses (bits per second of
-//                   the bottleneck loop, which is what adding cores buys).
+//                   window: the single-core-honest capacity metric (bits
+//                   per second of the bottleneck loop, which is what adding
+//                   cores buys).
 //    The --grid scaling floor (4-loop capacity >= 2.5x 1-loop) is enforced
-//    on capacity_gbps.
+//    on capacity_gbps; scripts/bench.sh runs it on every full run.
 //
 //   bench_c10k [--loops L] [--sessions N] [--payload BYTES] [--seconds S]
 //              [--quick] [--grid] [--json PATH]

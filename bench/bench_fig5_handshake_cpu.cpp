@@ -11,6 +11,12 @@
 // (one handshake instead of two); the server's cost is flat in the number of
 // client-side middleboxes and grows by roughly the cost of one *client*
 // handshake (~20% of its own) per server-side middlebox.
+//
+// Also reports the cost of framing one secondary-handshake record as an
+// Encapsulated record (§3.4), the per-message overhead mbTLS adds to every
+// middlebox's handshake flight.
+#include <chrono>
+
 #include "baselines/split_tls.h"
 #include "bench/bench_common.h"
 #include "mbtls/client.h"
@@ -256,6 +262,31 @@ void run_kx(const std::string& kx, int trials, Json& rows) {
   }
 }
 
+// ------------------------------------------------ Encapsulated framing
+
+struct EncapsulationCost {
+  std::size_t inner_bytes = 0;
+  std::size_t overhead_bytes = 0;  // subchannel byte + outer record header
+  double ns_per_record = 0;
+};
+
+EncapsulationCost encapsulation_cost(int iterations) {
+  crypto::Drbg r("fig5-encap", 0);
+  const Bytes inner = tls::frame_plaintext_record(tls::ContentType::kHandshake, r.bytes(512));
+  std::size_t framed_bytes = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < iterations; ++i) {
+    tls::EncapsulatedRecord enc;
+    enc.subchannel = 3;
+    enc.inner_record = inner;
+    framed_bytes =
+        tls::frame_plaintext_record(tls::ContentType::kMbtlsEncapsulated, enc.encode()).size();
+  }
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  return {inner.size(), framed_bytes - inner.size(), elapsed * 1e9 / iterations};
+}
+
 }  // namespace
 }  // namespace mbtls::bench
 
@@ -297,11 +328,18 @@ int main(int argc, char** argv) {
       "\nPaper shape to check: TLS ~= mbTLS without middleboxes; middlebox cheaper under\n"
       "mbTLS than split TLS (one handshake, not two); server cost flat vs client-side\n"
       "middleboxes, + ~one client-handshake (~20%%) per server-side middlebox.\n");
+  const EncapsulationCost encap = encapsulation_cost(20'000);
+  std::printf("\nEncapsulated-record framing (%zu B inner record): +%zu bytes, %.0f ns/record\n",
+              encap.inner_bytes, encap.overhead_bytes, encap.ns_per_record);
   if (!json_path.empty()) {
     Json doc = Json::object()
                    .add("bench", std::string("fig5_handshake_cpu"))
                    .add("trials", static_cast<double>(trials));
-    add_backend_fields(doc).add("rows", rows);
+    add_backend_fields(doc).add("rows", rows).add(
+        "encapsulation", Json::object()
+                             .add("inner_record_bytes", static_cast<double>(encap.inner_bytes))
+                             .add("overhead_bytes", static_cast<double>(encap.overhead_bytes))
+                             .add("ns_per_record", encap.ns_per_record));
     if (!doc.write_file(json_path)) {
       std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
       return 1;

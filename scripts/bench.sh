@@ -4,10 +4,9 @@
 #
 #   scripts/bench.sh                 # full run -> BENCH_micro.json,
 #                                    #            BENCH_fig5.json,
-#                                    #            BENCH_fig7.json in repo root
+#                                    #            BENCH_fig7.json,
+#                                    #            BENCH_c10k.json in repo root
 #   scripts/bench.sh --quick         # tiny budgets (CI / smoke)
-#   scripts/bench.sh --c10k          # additionally run the real-socket
-#                                    # C10K harness -> BENCH_c10k.json
 #   scripts/bench.sh --churn         # additionally run the control-plane
 #                                    # churn harness -> BENCH_churn.json
 #                                    # (enforces: resumed handshakes >= 5x
@@ -18,12 +17,14 @@
 #
 # bench_microcrypto additionally enforces the fast-vs-reference speedup
 # floors (p256 mul_base >= 3x, AES-GCM seal >= 1.5x, and — when the aesni
-# backend resolves — AES-NI seal >= 3x over the scalar fast path), so a perf
-# regression fails this script. The JSON files in the repo root are the
-# committed baseline; re-run this script and commit the diff when the crypto
-# changes. Every JSON records the backend + CPU features that produced it,
-# so a baseline refreshed under --backend scalar is distinguishable from an
-# AES-NI one.
+# backend resolves — AES-NI seal >= 3x over the scalar fast path), and full
+# runs enforce two data-plane floors: 32-record ECALLs close >= 30% of the
+# Fig. 7 enclave gap at 512 B, and the real-socket bench_c10k grid reaches
+# >= 2.5x 1-loop capacity at 4 loops. A perf regression fails this script.
+# The JSON files in the repo root are the committed baseline; re-run this
+# script and commit the diff when the crypto changes. Every JSON records the
+# backend + CPU features that produced it, so a baseline refreshed under
+# --backend scalar is distinguishable from an AES-NI one.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -31,17 +32,15 @@ cd "$repo_root"
 
 out_dir="$repo_root"
 quick=0
-c10k=0
 churn=0
 backend=""
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --quick) quick=1; shift ;;
-    --c10k) c10k=1; shift ;;
     --churn) churn=1; shift ;;
     --out) out_dir="$2"; shift 2 ;;
     --backend) backend="$2"; shift 2 ;;
-    *) echo "usage: scripts/bench.sh [--quick] [--c10k] [--churn] [--out DIR] [--backend auto|scalar|aesni]" >&2; exit 2 ;;
+    *) echo "usage: scripts/bench.sh [--quick] [--churn] [--out DIR] [--backend auto|scalar|aesni]" >&2; exit 2 ;;
   esac
 done
 mkdir -p "$out_dir"
@@ -54,22 +53,21 @@ jobs="$(nproc 2>/dev/null || echo 2)"
 
 echo "=== bench: configure + build (Release) ==="
 cmake --preset default >/dev/null
-targets=(bench_microcrypto bench_fig5_handshake_cpu bench_fig7_sgx_throughput)
-[[ "$c10k" == 1 ]] && targets+=(bench_c10k)
+targets=(bench_microcrypto bench_fig5_handshake_cpu bench_fig7_sgx_throughput bench_c10k)
 [[ "$churn" == 1 ]] && targets+=(bench_churn)
 cmake --build --preset default -j "$jobs" --target "${targets[@]}"
 
 micro_args=()
 fig5_args=(--trials 20)
-fig7_args=(--seconds 0.25)
-# Full runs enforce the scaling floors (>=2.5x capacity at 4 workers,
-# batching closes >=30% of the enclave gap); quick runs only smoke the grid.
-scaling_args=(--scaling --records 64 --enforce)
+# Full runs enforce the ECALL-batching floor and the 4-loop capacity floor;
+# quick runs only smoke the same code paths.
+fig7_args=(--seconds 0.25 --enforce)
+c10k_args=(--grid)  # loops {1,2,4} plus a 10k-session row at 4 loops
 if [[ "$quick" == 1 ]]; then
   micro_args=(--quick)
   fig5_args=(--trials 2)
   fig7_args=(--seconds 0.01)
-  scaling_args=(--scaling --records 4)
+  c10k_args=(--quick --grid)  # loops {1,2} x 25 sessions, 0.3 s window, no floor
 fi
 
 echo
@@ -85,20 +83,8 @@ echo "=== bench_fig7_sgx_throughput ==="
 ./build/bench/bench_fig7_sgx_throughput "${fig7_args[@]}" --json "$out_dir/BENCH_fig7.json"
 
 echo
-echo "=== bench_fig7_sgx_throughput --scaling (multi-core data plane) ==="
-./build/bench/bench_fig7_sgx_throughput "${scaling_args[@]}" \
-  --json "$out_dir/BENCH_fig7_scaling.json"
-
-if [[ "$c10k" == 1 ]]; then
-  echo
-  echo "=== bench_c10k (multi-loop SO_REUSEPORT grid, real loopback sockets) ==="
-  # Full grid sweeps loops {1,2,4} plus the 10k-session row at 4 loops and
-  # enforces the >=2.5x capacity-scaling floor (4 loops vs 1); quick mode
-  # runs a tiny {1,2}-loop grid with no floor.
-  c10k_args=(--grid)
-  [[ "$quick" == 1 ]] && c10k_args=(--quick --grid)  # 25 sessions, 0.3 s window
-  ./build/bench/bench_c10k "${c10k_args[@]}" --json "$out_dir/BENCH_c10k.json"
-fi
+echo "=== bench_c10k --grid (multi-loop SO_REUSEPORT, real loopback sockets) ==="
+./build/bench/bench_c10k "${c10k_args[@]}" --json "$out_dir/BENCH_c10k.json"
 
 if [[ "$churn" == 1 ]]; then
   echo
@@ -109,10 +95,7 @@ if [[ "$churn" == 1 ]]; then
 fi
 
 echo
-echo "wrote: $out_dir/BENCH_micro.json $out_dir/BENCH_fig5.json $out_dir/BENCH_fig7.json $out_dir/BENCH_fig7_scaling.json"
-if [[ "$c10k" == 1 ]]; then
-  echo "wrote: $out_dir/BENCH_c10k.json"
-fi
+echo "wrote: $out_dir/BENCH_micro.json $out_dir/BENCH_fig5.json $out_dir/BENCH_fig7.json $out_dir/BENCH_c10k.json"
 if [[ "$churn" == 1 ]]; then
   echo "wrote: $out_dir/BENCH_churn.json"
 fi

@@ -59,21 +59,19 @@ step "bench: quick run + JSON emission (scripts/bench.sh --quick --churn)"
 # rotation + cert pool, with the resumed>=5x and cert-hit>=90% floors on.
 scripts/bench.sh --quick --churn --out /tmp/mbtls-bench-check
 
-# The multi-core data plane is the only concurrent subsystem; its tests
-# (pool semantics + the parallel-vs-serial byte-identical cross-check) run
-# under TSan even in --fast mode — a data race there corrupts sessions
-# silently, which nothing else in the gate would catch.
+# The concurrent subsystems run under TSan even in --fast mode — a data race
+# there corrupts sessions silently, which nothing else in the gate would
+# catch.
 step "tsan: build concurrency tests"
 cmake --preset tsan >/dev/null
-cmake --build --preset tsan -j "$jobs" --target test_workpool test_posix_loopback \
+cmake --build --preset tsan -j "$jobs" --target test_chacha_drbg test_posix_loopback \
   test_posix_net test_transport_conformance test_control_plane
 
-step "tsan: WorkPool / ReprotectPipeline / DrbgThreading"
-ctest --preset tsan -R 'SpscRing\.|WorkPool\.|ReprotectPipeline\.|DrbgThreading\.' \
-  --output-on-failure
+step "tsan: DrbgThreading"
+ctest --preset tsan -R 'DrbgThreading\.' --output-on-failure
 
 # The control-plane caches (sharded session cache, cert pool, quote cache,
-# ticket key rotation) are hit from the worker pool while the main thread
+# ticket key rotation) are hit from several threads while the main thread
 # rotates keys — the mutex-striping and atomic counters must hold up.
 step "tsan: control-plane shard hammer"
 ctest --preset tsan -R 'ControlPlaneConcurrency\.' --output-on-failure

@@ -9,8 +9,8 @@
 //
 // so benchmarks and CI can pin a backend for reproducibility. Call sites
 // outside src/crypto never see the dispatch — Aes / AesGcm / Sha256 capture
-// the active backend at construction, so the record layer, middlebox
-// reprotect, and the worker pipeline accelerate with zero call-site changes.
+// the active backend at construction, so the record layer and middlebox
+// reprotect accelerate with zero call-site changes.
 // MBTLS_REFERENCE_CRYPTO remains a separate, compile-time oracle: reference
 // paths never dispatch to an accelerated backend.
 #pragma once

@@ -1,5 +1,7 @@
 #include "ec/ecdsa.h"
 
+#include "crypto/hmac.h"
+
 namespace mbtls::ec {
 
 namespace {
@@ -10,6 +12,69 @@ U256 hash_to_scalar(crypto::HashAlgo algo, ByteView message) {
   const U256 z = U256::from_bytes(digest);
   return P256::instance().scalar_field().reduce_once(z);
 }
+
+/// RFC 6979 §3.2 nonce generation for P-256 (qlen = 256), with HMAC over the
+/// signature's own hash and the §3.6 additional data `extra` appended to the
+/// seed. Fresh `extra` makes the nonce hedged: a repeated DRBG state still
+/// yields a distinct k for every (key, message) pair.
+class NonceGenerator {
+ public:
+  NonceGenerator(crypto::HashAlgo algo, const U256& d, const U256& z, ByteView extra)
+      : algo_(algo),
+        k_(crypto::digest_size(algo), 0x00),
+        v_(crypto::digest_size(algo), 0x01) {
+    // int2octets(d) || bits2octets(H(m)) || extra
+    Bytes seed = d.to_bytes();
+    append(seed, z.to_bytes());
+    append(seed, extra);
+    for (const std::uint8_t round : {0x00, 0x01}) {  // steps d-g
+      Bytes msg = v_;
+      msg.push_back(round);
+      append(msg, seed);
+      k_ = crypto::hmac(algo_, k_, msg);
+      v_ = crypto::hmac(algo_, k_, v_);
+      secure_wipe(msg);
+    }
+    secure_wipe(seed);
+  }
+  ~NonceGenerator() {
+    secure_wipe(k_);
+    secure_wipe(v_);
+  }
+  NonceGenerator(const NonceGenerator&) = delete;
+  NonceGenerator& operator=(const NonceGenerator&) = delete;
+
+  /// Step h: the next candidate in [1, n-1]. Each call after the first
+  /// advances the state before drawing, so a k the caller rejected (r or s
+  /// zero) is never produced twice.
+  U256 next() {
+    const auto& fn = P256::instance().scalar_field();
+    for (;;) {
+      if (drawn_) {
+        Bytes msg = v_;
+        msg.push_back(0x00);
+        k_ = crypto::hmac(algo_, k_, msg);
+        v_ = crypto::hmac(algo_, k_, v_);
+      }
+      drawn_ = true;
+      Bytes t;
+      while (t.size() < 32) {
+        v_ = crypto::hmac(algo_, k_, v_);
+        append(t, v_);
+      }
+      t.resize(32);  // bits2int: the leftmost qlen bits
+      const U256 k = U256::from_bytes(t);
+      secure_wipe(t);
+      if (!k.is_zero() && fn.reduce_once(k) == k) return k;
+    }
+  }
+
+ private:
+  crypto::HashAlgo algo_;
+  Bytes k_;  // HMAC key K of the RFC's HMAC_DRBG
+  Bytes v_;  // chaining value V
+  bool drawn_ = false;
+};
 }  // namespace
 
 EcdsaKeyPair ecdsa_generate(crypto::Drbg& rng) {
@@ -25,8 +90,9 @@ Bytes ecdsa_sign(const EcdsaKeyPair& key, crypto::HashAlgo algo, ByteView messag
   const auto& curve = P256::instance();
   const auto& fn = curve.scalar_field();
   const U256 z = hash_to_scalar(algo, message);
+  NonceGenerator nonces(algo, key.private_key, z, rng.bytes(32));
   for (;;) {
-    const U256 k = curve.random_scalar(rng);
+    const U256 k = nonces.next();
     const AffinePoint r_point = curve.mul_base(k);
     const U256 r = fn.reduce_once(r_point.x);
     if (r.is_zero()) continue;

@@ -21,6 +21,9 @@ struct EcdsaKeyPair {
 EcdsaKeyPair ecdsa_generate(crypto::Drbg& rng);
 
 /// Sign `message` (hashed with `algo` internally). Returns r || s (64 bytes).
+/// The nonce is RFC 6979 deterministic in (private key, H(message)) and
+/// hedged with 32 bytes drawn from `rng` (§3.6 additional data): a repeated
+/// `rng` state never repeats a nonce across different messages.
 Bytes ecdsa_sign(const EcdsaKeyPair& key, crypto::HashAlgo algo, ByteView message,
                  crypto::Drbg& rng);
 

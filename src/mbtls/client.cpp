@@ -44,7 +44,7 @@ void ClientSession::emit_fatal_alert(tls::AlertDescription description) {
   const Bytes body{static_cast<std::uint8_t>(tls::AlertLevel::kFatal),
                    static_cast<std::uint8_t>(description)};
   if (data_path_) {
-    append(out_, data_path_->seal_c2s(tls::ContentType::kAlert, body));
+    append(out_, data_path_->c2s.seal(tls::ContentType::kAlert, body));
   } else {
     // No keys yet: the alert goes out in the clear, like TLS handshake
     // alerts do. Middleboxes relay unrecognized plaintext alerts verbatim.
@@ -245,7 +245,7 @@ void ClientSession::handle_data_record(const tls::Record& record) {
   if (!data_path_) return;
   switch (record.type) {
     case tls::ContentType::kApplicationData: {
-      auto opened = data_path_->open_s2c(record.type, record.payload);
+      auto opened = data_path_->s2c.open(record.type, record.payload);
       if (!opened) {
         fail("data record authentication failed");
         return;
@@ -254,7 +254,7 @@ void ClientSession::handle_data_record(const tls::Record& record) {
       break;
     }
     case tls::ContentType::kAlert: {
-      auto opened = data_path_->open_s2c(record.type, record.payload);
+      auto opened = data_path_->s2c.open(record.type, record.payload);
       if (!opened) {
         fail("alert authentication failed");
         return;
@@ -284,7 +284,7 @@ void ClientSession::send(ByteView application_data) {
   std::size_t off = 0;
   while (off < application_data.size()) {
     const std::size_t n = std::min(tls::kMaxRecordPayload, application_data.size() - off);
-    append(out_, data_path_->seal_c2s(tls::ContentType::kApplicationData,
+    append(out_, data_path_->c2s.seal(tls::ContentType::kApplicationData,
                                       application_data.subspan(off, n)));
     off += n;
   }
@@ -296,7 +296,7 @@ void ClientSession::close() {
   if (status_ != SessionStatus::kEstablished) return;
   Bytes body{static_cast<std::uint8_t>(tls::AlertLevel::kWarning),
              static_cast<std::uint8_t>(tls::AlertDescription::kCloseNotify)};
-  append(out_, data_path_->seal_c2s(tls::ContentType::kAlert, body));
+  append(out_, data_path_->c2s.seal(tls::ContentType::kAlert, body));
   status_ = SessionStatus::kClosed;
 }
 

@@ -234,8 +234,8 @@ void Middlebox::demote_to_relay(const std::string& reason) {
   if (mode_ != Mode::kRelay) trace_.instant("mbtls", "demote.relay", {{"reason", reason}});
   mode_ = Mode::kRelay;
   secondary_.reset();
-  // Anything buffered is forwarded verbatim.
-  for (auto& framed : secondary_out_buffer_) (void)framed;  // never sent
+  // Our unsent secondary flight is dropped; buffered data is forwarded
+  // verbatim.
   secondary_out_buffer_.clear();
   for (auto& b : buffered_data_) {
     append(b.from_client ? to_server_ : to_client_, b.raw);
@@ -247,10 +247,7 @@ void Middlebox::flush_buffered() {
   while (!buffered_data_.empty()) {
     Buffered b = std::move(buffered_data_.front());
     buffered_data_.pop_front();
-    if (b.from_client)
-      reprotect_c2s(b.record.type, MutableByteView(b.record.payload));
-    else
-      reprotect_s2c(b.record.type, MutableByteView(b.record.payload));
+    reprotect(b.from_client, static_cast<tls::ContentType>(b.raw[0]), record_body_mut(b.raw));
   }
 }
 
@@ -263,20 +260,22 @@ void Middlebox::flush_buffered() {
 // a configured application processor — which by contract returns a fresh
 // payload — adds an allocation.
 
-void Middlebox::reprotect_c2s(tls::ContentType type, MutableByteView body) {
-  const auto opened = toward_client_->open_c2s_in_place(type, body);
+void Middlebox::reprotect(bool client_to_server, tls::ContentType type, MutableByteView body) {
+  tls::HopChannel& inbound = client_to_server ? toward_client_->c2s : toward_server_->s2c;
+  tls::HopChannel& outbound = client_to_server ? toward_server_->c2s : toward_client_->s2c;
+  const auto opened = inbound.open_in_place(type, body);
   if (!opened) {
     ++auth_failures_;
-    trace_.instant("mbtls", "reprotect.auth_fail", {{"dir", "c2s"}});
+    trace_.instant("mbtls", "reprotect.auth_fail", {{"dir", client_to_server ? "c2s" : "s2c"}});
     return;  // P2/P4: unauthenticated or out-of-path record is discarded
   }
   ByteView payload = *opened;
   Bytes processed;
   if (type == tls::ContentType::kApplicationData && options_.processor) {
-    processed = options_.processor(/*client_to_server=*/true, payload);
+    processed = options_.processor(client_to_server, payload);
     payload = processed;
   } else if (type == tls::ContentType::kAlert) {
-    note_alert(payload, /*client_to_server=*/true);
+    note_alert(payload, client_to_server);
   }
   bytes_processed_ += payload.size();
   ++records_reprotected_;
@@ -284,31 +283,31 @@ void Middlebox::reprotect_c2s(tls::ContentType type, MutableByteView body) {
     trace_.counter("reprotect.records", 1);
     trace_.counter("reprotect.bytes", static_cast<double>(payload.size()));
   }
-  toward_server_->seal_c2s_into(type, payload, to_server_);
+  outbound.seal_into(type, payload, client_to_server ? to_server_ : to_client_);
 }
 
-void Middlebox::reprotect_s2c(tls::ContentType type, MutableByteView body) {
-  const auto opened = toward_server_->open_s2c_in_place(type, body);
-  if (!opened) {
-    ++auth_failures_;
-    trace_.instant("mbtls", "reprotect.auth_fail", {{"dir", "s2c"}});
-    return;
+void Middlebox::handle_protected_record(bool client_to_server, Bytes& raw) {
+  const auto type = static_cast<tls::ContentType>(raw[0]);
+  Bytes& onward = client_to_server ? to_server_ : to_client_;
+  if (joined_) {
+    reprotect(client_to_server, type, record_body_mut(raw));
+  } else if (mode_ == Mode::kJoining && secondary_ && secondary_->handshake_done()) {
+    // Data racing our key material (False Start, §3.5), or a hop-sealed
+    // alert right behind it (e.g. close_notify): hold it in order — relaying
+    // it raw would reach the next hop under the wrong keys.
+    buffered_data_.push_back({client_to_server, raw});
+  } else if (type == tls::ContentType::kApplicationData) {
+    // The session went to data phase without us: the peer is legacy.
+    observed_legacy_peer_ = options_.side == Side::kServerSide;
+    demote_to_relay("data phase reached before join");
+    append(onward, raw);
+  } else {
+    // A fatal alert from the server during the handshake may mean a strict
+    // legacy server choked on our announcement (§3.4): remember that.
+    if (!client_to_server && options_.side == Side::kServerSide && mode_ == Mode::kJoining)
+      observed_legacy_peer_ = true;
+    append(onward, raw);
   }
-  ByteView payload = *opened;
-  Bytes processed;
-  if (type == tls::ContentType::kApplicationData && options_.processor) {
-    processed = options_.processor(/*client_to_server=*/false, payload);
-    payload = processed;
-  } else if (type == tls::ContentType::kAlert) {
-    note_alert(payload, /*client_to_server=*/false);
-  }
-  bytes_processed_ += payload.size();
-  ++records_reprotected_;
-  if (trace_.on()) {
-    trace_.counter("reprotect.records", 1);
-    trace_.counter("reprotect.bytes", static_cast<double>(payload.size()));
-  }
-  toward_client_->seal_s2c_into(type, payload, to_client_);
 }
 
 // ------------------------------------------------------------ record loops
@@ -357,28 +356,8 @@ void Middlebox::handle_downstream_record(Bytes& raw) {
       append(to_server_, raw);
       return;
     case tls::ContentType::kApplicationData:
-      if (joined_) {
-        reprotect_c2s(type, record_body_mut(raw));
-      } else if (mode_ == Mode::kJoining && secondary_ && secondary_->handshake_done()) {
-        buffered_data_.push_back({true, parse_record(raw), raw});
-      } else {
-        // The session went to data phase without us: the peer is legacy.
-        observed_legacy_peer_ = options_.side == Side::kServerSide;
-        demote_to_relay("data phase reached before join");
-        append(to_server_, raw);
-      }
-      return;
     case tls::ContentType::kAlert:
-      if (joined_) {
-        reprotect_c2s(type, record_body_mut(raw));
-      } else if (mode_ == Mode::kJoining && secondary_ && secondary_->handshake_done()) {
-        // A hop-sealed alert racing our key material (e.g. close_notify right
-        // after False-Start data): hold it in order with that data — relaying
-        // it raw would reach the next hop under the wrong keys.
-        buffered_data_.push_back({true, parse_record(raw), raw});
-      } else {
-        append(to_server_, raw);
-      }
+      handle_protected_record(/*client_to_server=*/true, raw);
       return;
     default:
       // Primary handshake traffic: cut-through forward.
@@ -447,209 +426,13 @@ void Middlebox::handle_upstream_record(Bytes& raw) {
       return;
     }
     case tls::ContentType::kApplicationData:
-      if (joined_) {
-        reprotect_s2c(type, record_body_mut(raw));
-      } else if (mode_ == Mode::kJoining && secondary_ && secondary_->handshake_done()) {
-        buffered_data_.push_back({false, parse_record(raw), raw});
-      } else {
-        observed_legacy_peer_ = options_.side == Side::kServerSide;
-        demote_to_relay("data phase reached before join");
-        append(to_client_, raw);
-      }
-      return;
     case tls::ContentType::kAlert:
-      if (joined_) {
-        reprotect_s2c(type, record_body_mut(raw));
-      } else if (mode_ == Mode::kJoining && secondary_ && secondary_->handshake_done()) {
-        buffered_data_.push_back({false, parse_record(raw), raw});
-      } else {
-        // A fatal alert during the handshake may mean a strict legacy server
-        // choked on our announcement (§3.4): remember that.
-        if (options_.side == Side::kServerSide && mode_ == Mode::kJoining && !joined_)
-          observed_legacy_peer_ = true;
-        append(to_client_, raw);
-      }
+      handle_protected_record(/*client_to_server=*/false, raw);
       return;
     default:
       append(to_client_, raw);
       return;
   }
-}
-
-// ======================================================================
-// ReprotectPipeline — the multi-core data plane.
-// ======================================================================
-
-ReprotectPipeline::ReprotectPipeline(Options options) : options_(std::move(options)) {
-  if (options_.batch_records == 0) options_.batch_records = 1;
-  scratch_.resize(options_.workers == 0 ? 1 : options_.workers);
-  if (options_.workers > 0) {
-    pool_.emplace(options_.workers, options_.queue_capacity,
-                  [this](std::size_t worker, Batch&& batch) { process_batch(worker, batch); });
-  }
-}
-
-ReprotectPipeline::~ReprotectPipeline() {
-  // The pool destructor drains everything already posted; batches still
-  // pending on sessions are simply dropped (callers wanting their output
-  // call flush() first).
-}
-
-ReprotectPipeline::SessionId ReprotectPipeline::add_session(
-    const tls::HopKeys& toward_client_keys, const tls::HopKeys& toward_server_keys,
-    std::size_t key_len, Middlebox::Processor processor) {
-  auto s = std::make_unique<Session>(toward_client_keys, toward_server_keys, key_len,
-                                     std::move(processor));
-  const SessionId id = sessions_.size();
-  // Sharding rule: one worker owns all of a session's records, so per-hop
-  // sequence numbers advance in submission order, exactly as in the serial
-  // path. Sessions (not records) are the unit of parallelism.
-  s->worker = pool_ ? pool_->shard_worker(id) : 0;
-  sessions_.push_back(std::move(s));
-  return id;
-}
-
-void ReprotectPipeline::submit(SessionId id, bool client_to_server, tls::ContentType type,
-                               ByteView sealed_body) {
-  Session& s = *sessions_[id];
-  // Length-prefixed framing inside the batch buffer: [dir u8][type u8]
-  // [len u32][sealed bytes]. One buffer per batch keeps the queue entry a
-  // single contiguous allocation regardless of batch size.
-  put_u8(s.pending, client_to_server ? 1 : 0);
-  put_u8(s.pending, static_cast<std::uint8_t>(type));
-  put_u32(s.pending, static_cast<std::uint32_t>(sealed_body.size()));
-  append(s.pending, sealed_body);
-  if (++s.pending_count >= options_.batch_records) dispatch(s);
-}
-
-void ReprotectPipeline::dispatch(Session& s) {
-  if (s.pending_count == 0) return;
-  Batch batch;
-  batch.session = &s;
-  batch.count = s.pending_count;
-  batch.data = std::move(s.pending);
-  s.pending.clear();
-  s.pending_count = 0;
-  if (pool_) {
-    // Only sealed record bytes and plain counters cross the queue (lint
-    // rule queue-no-secret); the hop keys stay inside the session state the
-    // owning worker already holds.
-    pool_->post(s.worker, std::move(batch));
-  } else {
-    const std::uint64_t t0 = util::thread_cpu_nanos();
-    process_batch(0, batch);
-    serial_busy_nanos_ += util::thread_cpu_nanos() - t0;
-    // Recycle the batch buffer into the session so steady-state serial mode
-    // allocates nothing per batch.
-    batch.data.clear();
-    s.pending = std::move(batch.data);
-  }
-}
-
-void ReprotectPipeline::flush() {
-  for (auto& s : sessions_) dispatch(*s);
-  if (pool_) pool_->drain();
-}
-
-void ReprotectPipeline::process_batch(std::size_t worker, Batch& batch) {
-  Session& s = *batch.session;
-  WorkerScratch& scratch = scratch_[worker];
-  scratch.spans.clear();
-  scratch.meta.clear();
-  // Walk the framing once up front so the (possibly in-enclave) crypto loop
-  // touches only record views. Reused scratch vectors: no per-batch
-  // allocation at steady state.
-  std::uint8_t* base = batch.data.data();
-  std::size_t off = 0;
-  for (std::uint32_t i = 0; i < batch.count; ++i) {
-    const std::uint8_t dir = base[off];
-    const std::uint8_t rec_type = base[off + 1];
-    const std::size_t len = get_u32(batch.data, off + 2);
-    off += 6;
-    scratch.spans.emplace_back(base + off, len);
-    scratch.meta.push_back(static_cast<std::uint8_t>((rec_type << 1) | (dir & 1)));
-    off += len;
-  }
-  // Modeled per-record I/O handling (receive/classify/deliver) burns on the
-  // owning worker, outside the enclave — matching the Fig. 7 cost model
-  // where only the record crypto crosses the boundary.
-  if (options_.io_cost_iterations != 0) {
-    for (std::uint32_t i = 0; i < batch.count; ++i) sgx::burn_cycles(options_.io_cost_iterations);
-  }
-  const auto crypt_all = [&] {
-    for (std::uint32_t i = 0; i < batch.count; ++i) {
-      reprotect_one(s, (scratch.meta[i] & 1) != 0,
-                    static_cast<tls::ContentType>(scratch.meta[i] >> 1), scratch.spans[i]);
-    }
-  };
-  if (options_.enclave && options_.batched_ecalls) {
-    // One boundary crossing per batch: the amortization the scaling bench
-    // measures against the one-ECALL-per-record baseline below.
-    options_.enclave->ecall_batch(batch.count, crypt_all);
-  } else if (options_.enclave) {
-    for (std::uint32_t i = 0; i < batch.count; ++i) {
-      options_.enclave->ecall([&, i] {
-        reprotect_one(s, (scratch.meta[i] & 1) != 0,
-                      static_cast<tls::ContentType>(scratch.meta[i] >> 1), scratch.spans[i]);
-      });
-    }
-  } else {
-    crypt_all();
-  }
-}
-
-void ReprotectPipeline::reprotect_one(Session& s, bool client_to_server, tls::ContentType type,
-                                      MutableByteView body) {
-  // Same open → process → seal sequence as Middlebox::reprotect_c2s/s2c,
-  // operating on per-session state owned by exactly one worker.
-  const auto opened = client_to_server ? s.toward_client.open_c2s_in_place(type, body)
-                                       : s.toward_server.open_s2c_in_place(type, body);
-  if (!opened) {
-    ++s.auth_failures;
-    return;  // P2/P4: drop the unauthenticated record, keep the session
-  }
-  ByteView payload = *opened;
-  Bytes processed;
-  if (type == tls::ContentType::kApplicationData && s.processor) {
-    processed = s.processor(client_to_server, payload);
-    payload = processed;
-  }
-  s.bytes += payload.size();
-  ++s.records;
-  if (client_to_server)
-    s.toward_server.seal_c2s_into(type, payload, s.out_to_server);
-  else
-    s.toward_client.seal_s2c_into(type, payload, s.out_to_client);
-}
-
-std::uint64_t ReprotectPipeline::records_reprotected() const {
-  std::uint64_t total = 0;
-  for (const auto& s : sessions_) total += s->records;
-  return total;
-}
-
-std::uint64_t ReprotectPipeline::bytes_processed() const {
-  std::uint64_t total = 0;
-  for (const auto& s : sessions_) total += s->bytes;
-  return total;
-}
-
-std::uint64_t ReprotectPipeline::auth_failures() const {
-  std::uint64_t total = 0;
-  for (const auto& s : sessions_) total += s->auth_failures;
-  return total;
-}
-
-double ReprotectPipeline::worker_busy_seconds(std::size_t i) const {
-  if (pool_) return pool_->busy_seconds(i);
-  return i == 0 ? static_cast<double>(serial_busy_nanos_) * 1e-9 : 0.0;
-}
-
-double ReprotectPipeline::max_worker_busy_seconds() const {
-  double max_busy = 0.0;
-  const std::size_t n = pool_ ? pool_->worker_count() : 1;
-  for (std::size_t i = 0; i < n; ++i) max_busy = std::max(max_busy, worker_busy_seconds(i));
-  return max_busy;
 }
 
 }  // namespace mbtls::mb

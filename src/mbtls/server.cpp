@@ -29,7 +29,7 @@ void ServerSession::emit_fatal_alert(tls::AlertDescription description) {
   const Bytes body{static_cast<std::uint8_t>(tls::AlertLevel::kFatal),
                    static_cast<std::uint8_t>(description)};
   if (data_path_) {
-    append(out_, data_path_->seal_s2c(tls::ContentType::kAlert, body));
+    append(out_, data_path_->s2c.seal(tls::ContentType::kAlert, body));
   } else {
     append(out_, tls::frame_plaintext_record(tls::ContentType::kAlert, body));
   }
@@ -251,7 +251,7 @@ void ServerSession::handle_data_record(const tls::Record& record) {
   if (!data_path_) return;
   switch (record.type) {
     case tls::ContentType::kApplicationData: {
-      auto opened = data_path_->open_c2s(record.type, record.payload);
+      auto opened = data_path_->c2s.open(record.type, record.payload);
       if (!opened) {
         fail("data record authentication failed");
         return;
@@ -260,7 +260,7 @@ void ServerSession::handle_data_record(const tls::Record& record) {
       break;
     }
     case tls::ContentType::kAlert: {
-      auto opened = data_path_->open_c2s(record.type, record.payload);
+      auto opened = data_path_->c2s.open(record.type, record.payload);
       if (!opened) {
         fail("alert authentication failed");
         return;
@@ -288,7 +288,7 @@ void ServerSession::send(ByteView application_data) {
   std::size_t off = 0;
   while (off < application_data.size()) {
     const std::size_t n = std::min(tls::kMaxRecordPayload, application_data.size() - off);
-    append(out_, data_path_->seal_s2c(tls::ContentType::kApplicationData,
+    append(out_, data_path_->s2c.seal(tls::ContentType::kApplicationData,
                                       application_data.subspan(off, n)));
     off += n;
   }
@@ -300,7 +300,7 @@ void ServerSession::close() {
   if (status_ != SessionStatus::kEstablished) return;
   Bytes body{static_cast<std::uint8_t>(tls::AlertLevel::kWarning),
              static_cast<std::uint8_t>(tls::AlertDescription::kCloseNotify)};
-  append(out_, data_path_->seal_s2c(tls::ContentType::kAlert, body));
+  append(out_, data_path_->s2c.seal(tls::ContentType::kAlert, body));
   status_ = SessionStatus::kClosed;
 }
 

@@ -9,46 +9,12 @@ tls::DirectionKeys direction_keys(const Bytes& key, const Bytes& iv) {
 }  // namespace
 
 HopDuplex::HopDuplex(const tls::HopKeys& keys, std::size_t key_len)
-    : c2s_(direction_keys(keys.client_to_server_key, keys.client_to_server_iv),
-           keys.client_to_server_seq),
-      s2c_(direction_keys(keys.server_to_client_key, keys.server_to_client_iv),
-           keys.server_to_client_seq) {
+    : c2s(direction_keys(keys.client_to_server_key, keys.client_to_server_iv),
+          keys.client_to_server_seq),
+      s2c(direction_keys(keys.server_to_client_key, keys.server_to_client_iv),
+          keys.server_to_client_seq) {
   if (keys.client_to_server_key.size() != key_len || keys.server_to_client_key.size() != key_len)
     throw std::invalid_argument("hop key length does not match suite");
-}
-
-Bytes HopDuplex::seal_c2s(tls::ContentType type, ByteView plaintext) {
-  return c2s_.seal(type, plaintext);
-}
-
-std::optional<Bytes> HopDuplex::open_c2s(tls::ContentType type, ByteView body) {
-  return c2s_.open(type, body);
-}
-
-Bytes HopDuplex::seal_s2c(tls::ContentType type, ByteView plaintext) {
-  return s2c_.seal(type, plaintext);
-}
-
-std::optional<Bytes> HopDuplex::open_s2c(tls::ContentType type, ByteView body) {
-  return s2c_.open(type, body);
-}
-
-void HopDuplex::seal_c2s_into(tls::ContentType type, ByteView plaintext, Bytes& out) {
-  c2s_.seal_into(type, plaintext, out);
-}
-
-std::optional<MutableByteView> HopDuplex::open_c2s_in_place(tls::ContentType type,
-                                                            MutableByteView body) {
-  return c2s_.open_in_place(type, body);
-}
-
-void HopDuplex::seal_s2c_into(tls::ContentType type, ByteView plaintext, Bytes& out) {
-  s2c_.seal_into(type, plaintext, out);
-}
-
-std::optional<MutableByteView> HopDuplex::open_s2c_in_place(tls::ContentType type,
-                                                            MutableByteView body) {
-  return s2c_.open_in_place(type, body);
 }
 
 std::optional<Alert> parse_alert(ByteView body) {

@@ -30,35 +30,21 @@ struct MiddleboxDescriptor {
 
 /// Bidirectional AEAD channel for one hop, as seen from one node. "c2s" is
 /// the client-to-server data direction regardless of which side we are.
-class HopDuplex {
- public:
+/// Callers seal and open through the two channels directly; the allocation-
+/// free seal_into/open_in_place variants are the middlebox fast path.
+struct HopDuplex {
+  /// Throws std::invalid_argument when a direction's key length does not
+  /// match the negotiated suite's.
   HopDuplex(const tls::HopKeys& keys, std::size_t key_len);
-
-  /// Seal / open in the client-to-server direction.
-  Bytes seal_c2s(tls::ContentType type, ByteView plaintext);
-  std::optional<Bytes> open_c2s(tls::ContentType type, ByteView body);
-
-  /// Seal / open in the server-to-client direction.
-  Bytes seal_s2c(tls::ContentType type, ByteView plaintext);
-  std::optional<Bytes> open_s2c(tls::ContentType type, ByteView body);
-
-  // Allocation-free variants (see HopChannel): seal appends the wire record
-  // to `out`; open decrypts the record body in place and returns a plaintext
-  // sub-span. The middlebox re-protection fast path runs on these.
-  void seal_c2s_into(tls::ContentType type, ByteView plaintext, Bytes& out);
-  std::optional<MutableByteView> open_c2s_in_place(tls::ContentType type, MutableByteView body);
-  void seal_s2c_into(tls::ContentType type, ByteView plaintext, Bytes& out);
-  std::optional<MutableByteView> open_s2c_in_place(tls::ContentType type, MutableByteView body);
 
   /// Attach tracing to both directions ("<actor>/c2s" and "<actor>/s2c").
   void set_trace(const trace::Emitter& em) {
-    c2s_.set_trace(em.sub("c2s"));
-    s2c_.set_trace(em.sub("s2c"));
+    c2s.set_trace(em.sub("c2s"));
+    s2c.set_trace(em.sub("s2c"));
   }
 
- private:
-  tls::HopChannel c2s_;
-  tls::HopChannel s2c_;
+  tls::HopChannel c2s;
+  tls::HopChannel s2c;
 };
 
 /// Fresh random per-hop key material for the negotiated suite.

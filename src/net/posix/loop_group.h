@@ -2,9 +2,9 @@
 // by the kernel.
 //
 // One EpollLoop on one core tops out around ~1.2 Gbps of reprotected mbTLS
-// traffic (BENCH_c10k.json, PR 8) while the multi-core reprotect pipeline
-// and the sharded control plane sit idle beside it. A LoopGroup closes that
-// gap without adding a single cross-thread handoff to the data path:
+// traffic (BENCH_c10k.json). A LoopGroup is the middlebox's multi-core data
+// plane: it adds cores without adding a single cross-thread handoff to the
+// data path:
 //
 //  * Accept sharding is the kernel's job. Every loop binds its own
 //    SO_REUSEPORT listener on the same port; the kernel hashes each incoming
@@ -101,10 +101,9 @@ class LoopGroup {
   std::vector<std::uint64_t> accept_counts() const;
 
   /// CPU nanoseconds burned by loop `i`'s driver thread so far (sampled on
-  /// the thread each round; readable while running). The busiest loop's
-  /// delta over a measurement window is the capacity bottleneck — the same
-  /// single-core-honest accounting as the reprotect pipeline's
-  /// per-worker busy time (util::thread_cpu_nanos).
+  /// the thread each round with CLOCK_THREAD_CPUTIME_ID; readable while
+  /// running). The busiest loop's delta over a measurement window is the
+  /// capacity bottleneck, whatever the host's core count.
   std::uint64_t cpu_nanos_on(std::size_t i) const {
     return cpu_nanos_[i]->load(std::memory_order_relaxed);
   }

@@ -26,14 +26,12 @@ Bytes quote_message(ByteView measurement, ByteView report_data) {
 const ec::AffinePoint& attestation_service_public_key() { return service_key().public_key; }
 
 Bytes attestation_service_sign(ByteView measurement, ByteView report_data) {
-  // Deterministic ECDSA in the spirit of RFC 6979: the nonce is derived from
-  // the private key and the message, so it is unpredictable to outsiders but
-  // reproducible across runs.
-  Bytes k_seed = service_key().private_key.to_bytes();
-  append(k_seed, quote_message(measurement, report_data));
-  crypto::Drbg k_rng(k_seed);
+  // ecdsa_sign derives its nonce from the key and the message (RFC 6979), so
+  // a fixed hedge stream keeps quotes reproducible across runs without ever
+  // reusing a nonce for two different quotes.
+  crypto::Drbg hedge("intel-attestation-service/sign", 0);
   return ec::ecdsa_sign(service_key(), crypto::HashAlgo::kSha256,
-                        quote_message(measurement, report_data), k_rng);
+                        quote_message(measurement, report_data), hedge);
 }
 
 bool verify_quote(ByteView measurement, ByteView report_data, ByteView signature) {

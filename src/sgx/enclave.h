@@ -44,9 +44,9 @@ Bytes measure(std::string_view code_identity, ByteView config = {});
 /// MemoryStore so the adversary view in Platform is meaningful.
 ///
 /// NOT thread-safe: MemoryStore belongs to the handshake/control plane,
-/// which is single-threaded. The multi-core data plane never touches it —
-/// workers hold their sessions' hop keys inside per-session HopDuplex state
-/// (see mbtls::mb::ReprotectPipeline).
+/// which is single-threaded. The record data plane never touches it — a
+/// joined middlebox re-protects with the hop keys held in its own HopDuplex
+/// channels (see mbtls::mb::Middlebox).
 class MemoryStore {
  public:
   void put(std::string name, Bytes value) { data_[std::move(name)] = std::move(value); }
@@ -74,7 +74,7 @@ class Enclave {
   /// entry and exit and counts the crossing. Returns f's result.
   ///
   /// Thread-safety: like real SGX (one TCS per thread), an enclave may be
-  /// entered concurrently from multiple data-plane workers; the transition
+  /// entered concurrently from several event-loop threads; the transition
   /// counters are atomic and burn_cycles is purely local. Enclave *state*
   /// (memory(), seal()) remains single-threaded control-plane territory.
   template <typename F>
@@ -88,18 +88,6 @@ class Enclave {
       leave();
       return result;
     }
-  }
-
-  /// Batched transition (Fig. 7 scaling lever): one ECALL carries `records`
-  /// records' worth of work, so the fixed boundary-crossing cost is paid
-  /// once per batch instead of once per record. The amortization Knauth et
-  /// al. identify as the key SGX+TLS throughput lever is exactly this call
-  /// replacing a loop of ecall()s.
-  template <typename F>
-  auto ecall_batch(std::size_t records, F&& f) {
-    batch_ecalls_.fetch_add(1, std::memory_order_relaxed);
-    batched_records_.fetch_add(records, std::memory_order_relaxed);
-    return ecall(std::forward<F>(f));
   }
 
   /// Produce an attestation quote binding this enclave's measurement to
@@ -120,11 +108,6 @@ class Enclave {
   std::optional<Bytes> unseal(ByteView sealed) const;
 
   std::uint64_t transitions() const { return transitions_.load(std::memory_order_relaxed); }
-  /// Number of ecall_batch() crossings and the records they carried.
-  std::uint64_t batch_ecalls() const { return batch_ecalls_.load(std::memory_order_relaxed); }
-  std::uint64_t batched_records() const {
-    return batched_records_.load(std::memory_order_relaxed);
-  }
 
  private:
   friend class Platform;
@@ -139,8 +122,6 @@ class Enclave {
   MemoryStore memory_;
   Bytes sealing_key_;
   std::atomic<std::uint64_t> transitions_{0};
-  std::atomic<std::uint64_t> batch_ecalls_{0};
-  std::atomic<std::uint64_t> batched_records_{0};
   std::uint64_t seal_counter_ = 0;
 };
 

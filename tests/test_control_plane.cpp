@@ -1,7 +1,7 @@
 // Million-user control plane (DESIGN.md "Control plane"): the sharded
 // session cache, the deduplicating certificate pool, and the memoized
 // attestation-quote verifier — unit semantics, engine integration, and a
-// worker-pool hammer that drives every shard concurrently (the TSan stage
+// multi-thread hammer that drives every shard concurrently (the TSan stage
 // of scripts/check.sh runs this file; the ASan stage exercises the
 // wipe-on-evict path for use-after-free).
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "sgx/attestation.h"
 #include "tests/tls_test_util.h"
 #include "tls/ticket.h"
-#include "util/workpool.h"
 
 namespace mbtls::mb {
 namespace {
@@ -267,9 +266,9 @@ TEST(QuoteVerifyCache, DistinctReportDataAreDistinctEntries) {
   EXPECT_EQ(cache.size(), 3u);
 }
 
-// ------------------------------------------------- worker-pool shard hammer
+// ----------------------------------------------------- thread shard hammer
 
-TEST(ControlPlaneConcurrency, WorkPoolHammersEveryShard) {
+TEST(ControlPlaneConcurrency, ThreadsHammerEveryShard) {
   // Every worker slams all three caches plus the rotating ticket keys at
   // once while the main thread rotates mid-flight — the TSan preset build
   // of this test is the data-race proof for the control plane's locking.
@@ -286,42 +285,50 @@ TEST(ControlPlaneConcurrency, WorkPoolHammersEveryShard) {
   const Bytes report(64, 7);
   const Bytes sig = sgx::attestation_service_sign(meas, report);
 
-  const std::size_t workers =
-      std::max<std::size_t>(2, std::min<std::size_t>(4, std::thread::hardware_concurrency()));
+  const int workers =
+      std::max(2, std::min(4, static_cast<int>(std::thread::hardware_concurrency())));
   constexpr int kJobs = 512;
+  std::atomic<int> started{0};
   std::atomic<int> ok{0};
-  {
-    util::WorkPool<int> pool(workers, 64, [&](std::size_t, int&& job) {
-      crypto::Drbg rng("hammer-job", static_cast<std::uint64_t>(job));
-      tls::SessionState s;
-      s.session_id = rng.bytes(32);
-      s.master_secret = rng.bytes(48);
-      sessions.store_by_id(s);
-      if (!sessions.lookup_by_id(s.session_id).has_value() &&
-          sessions.stats().evictions == 0) {
-        return;  // only eviction may lose a fresh store
-      }
-      const auto cert = certs.intern(ders[static_cast<std::size_t>(job) % ders.size()]);
-      if (!cert) return;
-      if (!quotes.verify(meas, report, sig)) return;
-      // Rotations race against this seal/unseal pair: one rotation in
-      // between is the stale-but-valid case; a reject means two rotations
-      // landed inside the window, so reseal under the new current key.
-      bool ticket_ok = false;
-      for (int attempt = 0; attempt < 5 && !ticket_ok; ++attempt) {
-        const Bytes ticket = keys.seal(s.master_secret);
-        const auto opened = keys.unseal(ticket);
-        ticket_ok = opened.has_value() && opened->plaintext == s.master_secret;
-      }
-      if (!ticket_ok) return;
-      ok.fetch_add(1, std::memory_order_relaxed);
-    });
-    for (int j = 0; j < kJobs; ++j) {
-      pool.post(static_cast<std::size_t>(j), j);
-      if (j % 128 == 127) keys.rotate();  // rotation races against seal/unseal
+  const auto run_job = [&](int job) {
+    crypto::Drbg rng("hammer-job", static_cast<std::uint64_t>(job));
+    tls::SessionState s;
+    s.session_id = rng.bytes(32);
+    s.master_secret = rng.bytes(48);
+    sessions.store_by_id(s);
+    if (!sessions.lookup_by_id(s.session_id).has_value() && sessions.stats().evictions == 0) {
+      return;  // only eviction may lose a fresh store
     }
-    pool.drain();
+    const auto cert = certs.intern(ders[static_cast<std::size_t>(job) % ders.size()]);
+    if (!cert) return;
+    if (!quotes.verify(meas, report, sig)) return;
+    // Rotations race against this seal/unseal pair: one rotation in between
+    // is the stale-but-valid case; a reject means two rotations landed
+    // inside the window, so reseal under the new current key.
+    bool ticket_ok = false;
+    for (int attempt = 0; attempt < 5 && !ticket_ok; ++attempt) {
+      const Bytes ticket = keys.seal(s.master_secret);
+      const auto opened = keys.unseal(ticket);
+      ticket_ok = opened.has_value() && opened->plaintext == s.master_secret;
+    }
+    if (!ticket_ok) return;
+    ok.fetch_add(1, std::memory_order_relaxed);
+  };
+  std::vector<std::thread> threads;
+  for (int w = 0; w < workers; ++w) {
+    threads.emplace_back([&, w] {
+      for (int job = w; job < kJobs; job += workers) {
+        started.fetch_add(1, std::memory_order_relaxed);
+        run_job(job);
+      }
+    });
   }
+  // One rotation per 128 jobs started races against the seal/unseal pairs.
+  for (int r = 1; r <= kJobs / 128; ++r) {
+    while (started.load(std::memory_order_relaxed) < r * 128) std::this_thread::yield();
+    keys.rotate();
+  }
+  for (auto& t : threads) t.join();
   EXPECT_EQ(ok.load(), kJobs);
   EXPECT_EQ(certs.size(), ders.size());
   EXPECT_GE(certs.stats().hits, static_cast<std::uint64_t>(kJobs) - ders.size());

@@ -171,6 +171,56 @@ TEST(Ecdsa, RejectsMalformedSignatures) {
   EXPECT_FALSE(ecdsa_verify(key.public_key, crypto::HashAlgo::kSha256, msg, Bytes(64, 0)));  // r=s=0
 }
 
+// Nonce derivation (RFC 6979 with §3.6 hedging): k depends on the key, the
+// message hash and 32 bytes from the caller's DRBG.
+
+TEST(EcdsaNonce, SameDrbgStateDifferentMessagesGiveDifferentR) {
+  // Two signers whose DRBGs are in the same state — e.g. two sessions seeded
+  // from the same label — must still never share a nonce.
+  const EcdsaKeyPair key = [] {
+    crypto::Drbg rng("ecdsa-nonce-key", 0);
+    return ecdsa_generate(rng);
+  }();
+  crypto::Drbg rng_a("ecdsa-nonce-state", 0);
+  crypto::Drbg rng_b("ecdsa-nonce-state", 0);
+  const Bytes sig_a =
+      ecdsa_sign(key, crypto::HashAlgo::kSha256, to_bytes(std::string_view("m1")), rng_a);
+  const Bytes sig_b =
+      ecdsa_sign(key, crypto::HashAlgo::kSha256, to_bytes(std::string_view("m2")), rng_b);
+  EXPECT_NE(Bytes(sig_a.begin(), sig_a.begin() + 32), Bytes(sig_b.begin(), sig_b.begin() + 32));
+}
+
+TEST(EcdsaNonce, FixedKeyMessageAndDrbgStateGiveFixedSignature) {
+  crypto::Drbg key_rng("ecdsa-fixed", 0);
+  const EcdsaKeyPair key = ecdsa_generate(key_rng);
+  const auto msg = to_bytes(std::string_view("fixed message"));
+  for (const auto algo : {crypto::HashAlgo::kSha256, crypto::HashAlgo::kSha384}) {
+    crypto::Drbg rng_a("ecdsa-fixed-state", 7);
+    crypto::Drbg rng_b("ecdsa-fixed-state", 7);
+    crypto::Drbg rng_c("ecdsa-fixed-state", 8);
+    const Bytes sig_a = ecdsa_sign(key, algo, msg, rng_a);
+    EXPECT_EQ(sig_a, ecdsa_sign(key, algo, msg, rng_b));
+    // The DRBG bytes are a real input: another state hedges to another k.
+    EXPECT_NE(sig_a, ecdsa_sign(key, algo, msg, rng_c));
+  }
+}
+
+TEST(EcdsaNonce, SignVerifyRoundTripsForSha256AndSha384) {
+  crypto::Drbg rng("ecdsa-nonce-rt", 0);
+  for (const auto algo : {crypto::HashAlgo::kSha256, crypto::HashAlgo::kSha384}) {
+    for (int trial = 0; trial < 8; ++trial) {
+      const EcdsaKeyPair key = ecdsa_generate(rng);
+      const Bytes msg = rng.bytes(1 + rng.uniform(200));
+      const Bytes sig = ecdsa_sign(key, algo, msg, rng);
+      ASSERT_EQ(sig.size(), 64u);
+      EXPECT_TRUE(ecdsa_verify(key.public_key, algo, msg, sig)) << "trial " << trial;
+      Bytes other = msg;
+      other[0] ^= 1;
+      EXPECT_FALSE(ecdsa_verify(key.public_key, algo, other, sig)) << "trial " << trial;
+    }
+  }
+}
+
 TEST(U256, BytesRoundTrip) {
   crypto::Drbg rng("u256", 0);
   const Bytes b = rng.bytes(32);

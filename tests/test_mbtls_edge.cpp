@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "tests/mbtls_test_util.h"
+#include "x509/keys.h"
 
 namespace mbtls::mb {
 namespace {
@@ -299,7 +300,7 @@ TEST(MbtlsAlert, TruncatedSealedAlertFailsClientSession) {
   ASSERT_TRUE(rig.client.established());
   auto forge = rig.forge();
   const Bytes one_byte{static_cast<std::uint8_t>(tls::AlertLevel::kWarning)};
-  rig.client.feed(forge.seal_s2c(tls::ContentType::kAlert, one_byte));
+  rig.client.feed(forge.s2c.seal(tls::ContentType::kAlert, one_byte));
   EXPECT_TRUE(rig.client.failed());
   EXPECT_EQ(rig.client.error_message(), "malformed alert record");
   EXPECT_NE(rig.client.status(), SessionStatus::kClosed);  // not a close_notify
@@ -310,7 +311,7 @@ TEST(MbtlsAlert, BogusLevelSealedAlertFailsServerSession) {
   ASSERT_TRUE(rig.server.established());
   auto forge = rig.forge();
   const Bytes bogus_level{0x03, 0x00};  // description says close_notify, level invalid
-  rig.server.feed(forge.seal_c2s(tls::ContentType::kAlert, bogus_level));
+  rig.server.feed(forge.c2s.seal(tls::ContentType::kAlert, bogus_level));
   EXPECT_TRUE(rig.server.failed());
   EXPECT_EQ(rig.server.error_message(), "malformed alert record");
   EXPECT_NE(rig.server.status(), SessionStatus::kClosed);
@@ -322,9 +323,82 @@ TEST(MbtlsAlert, FatalPeerAlertSurfacesDescription) {
   auto forge = rig.forge();
   const Bytes fatal{static_cast<std::uint8_t>(tls::AlertLevel::kFatal),
                     static_cast<std::uint8_t>(tls::AlertDescription::kHandshakeFailure)};
-  rig.client.feed(forge.seal_s2c(tls::ContentType::kAlert, fatal));
+  rig.client.feed(forge.s2c.seal(tls::ContentType::kAlert, fatal));
   ASSERT_TRUE(rig.client.failed());
   EXPECT_NE(rig.client.error_message().find("peer alert"), std::string::npos);
+}
+
+// ------------------------------------------------------- signature nonces
+
+/// Runs one client -- client-side middlebox -- server session and returns
+/// the ECDSA `r` of the middlebox's ServerKeyExchange, read off the
+/// Encapsulated records it sends toward the client.
+Bytes middlebox_ske_r(std::uint64_t client_seed, const tls::testing::ServerIdentity& mbox_id,
+                      const tls::testing::ServerIdentity& server_id) {
+  ClientSession client(client_options("origin.example", client_seed));
+  ServerSession server(server_options(server_id));
+  Middlebox::Options mopts;
+  mopts.name = "proxy.mboxes.example";
+  mopts.private_key = mbox_id.key;
+  mopts.certificate_chain = mbox_id.chain;
+  Middlebox mbox(std::move(mopts));
+
+  Bytes toward_client;
+  client.start();
+  for (int i = 0; i < 200; ++i) {
+    bool moved = false;
+    const auto pass = [&](Bytes data, auto&& sink) {
+      if (data.empty()) return;
+      moved = true;
+      sink(data);
+    };
+    pass(client.take_output(), [&](const Bytes& d) { mbox.feed_from_client(d); });
+    pass(mbox.take_to_server(), [&](const Bytes& d) { server.feed(d); });
+    pass(server.take_output(), [&](const Bytes& d) { mbox.feed_from_server(d); });
+    pass(mbox.take_to_client(), [&](const Bytes& d) {
+      append(toward_client, d);
+      client.feed(d);
+    });
+    if (!moved) break;
+  }
+  EXPECT_TRUE(client.established()) << client.error_message();
+  EXPECT_TRUE(mbox.joined());
+
+  tls::RecordReader outer;
+  outer.feed(toward_client);
+  tls::HandshakeReassembler secondary;
+  while (auto rec = outer.next()) {
+    if (rec->type != tls::ContentType::kMbtlsEncapsulated) continue;
+    const auto enc = tls::EncapsulatedRecord::parse(rec->payload);
+    if (!enc) continue;
+    tls::RecordReader inner;
+    inner.feed(enc->inner_record);
+    while (auto inner_rec = inner.next()) {
+      if (inner_rec->type != tls::ContentType::kHandshake) continue;
+      secondary.feed(inner_rec->payload);
+      while (auto msg = secondary.next()) {
+        if (msg->type != tls::HandshakeType::kServerKeyExchange) continue;
+        const auto ske = tls::ServerKeyExchange::parse(msg->body, tls::KeyExchange::kEcdhe);
+        const auto raw = x509::ecdsa_sig_from_der(ske.signature);
+        if (!raw) return {};
+        return Bytes(raw->begin(), raw->begin() + 32);
+      }
+    }
+  }
+  return {};
+}
+
+TEST(MbtlsNonce, SameNameMiddleboxesSignWithDistinctEcdsaR) {
+  // Same name, same key: both secondary engines draw from the same DRBG
+  // state, so only the nonce derivation keeps the two signatures — over
+  // different client randoms — from sharing k and leaking the key.
+  const auto mbox_id = make_identity("proxy.mboxes.example");
+  const auto server_id = make_identity("origin.example");
+  const Bytes r1 = middlebox_ske_r(/*client_seed=*/11, mbox_id, server_id);
+  const Bytes r2 = middlebox_ske_r(/*client_seed=*/12, mbox_id, server_id);
+  ASSERT_EQ(r1.size(), 32u);
+  ASSERT_EQ(r2.size(), 32u);
+  EXPECT_NE(r1, r2);
 }
 
 }  // namespace
