@@ -8,9 +8,8 @@
 #include "attacks/attacks.h"
 #include "baselines/mctls.h"
 #include "bench/bench_common.h"
-#include "mbtls/client.h"
+#include "mbtls/endpoint.h"
 #include "mbtls/middlebox.h"
-#include "mbtls/server.h"
 #include "tests/mbtls_test_util.h"
 
 

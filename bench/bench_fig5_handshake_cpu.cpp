@@ -19,10 +19,9 @@
 
 #include "baselines/split_tls.h"
 #include "bench/bench_common.h"
-#include "mbtls/client.h"
+#include "mbtls/endpoint.h"
 #include "mbtls/metrics.h"
 #include "mbtls/middlebox.h"
-#include "mbtls/server.h"
 
 namespace mbtls::bench {
 namespace {

@@ -16,7 +16,7 @@
 #include "bench/bench_common.h"
 #include "mbox/header_proxy.h"
 #include "http/http.h"
-#include "mbtls/client.h"
+#include "mbtls/endpoint.h"
 #include "mbtls/middlebox.h"
 
 namespace mbtls::bench {

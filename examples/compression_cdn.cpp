@@ -10,9 +10,8 @@
 
 #include "http/http.h"
 #include "mbox/compression_proxy.h"
-#include "mbtls/client.h"
+#include "mbtls/endpoint.h"
 #include "mbtls/middlebox.h"
-#include "mbtls/server.h"
 
 using namespace mbtls;
 

@@ -6,9 +6,8 @@
 // In both cases the legacy engine runs zero mbTLS code paths.
 #include <cstdio>
 
-#include "mbtls/client.h"
+#include "mbtls/endpoint.h"
 #include "mbtls/middlebox.h"
-#include "mbtls/server.h"
 
 using namespace mbtls;
 

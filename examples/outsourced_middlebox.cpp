@@ -9,9 +9,8 @@
 #include <cstdio>
 
 #include "mbox/header_proxy.h"
-#include "mbtls/client.h"
+#include "mbtls/endpoint.h"
 #include "mbtls/middlebox.h"
-#include "mbtls/server.h"
 #include "util/hex.h"
 
 using namespace mbtls;

@@ -5,9 +5,8 @@
 // step is visible. Run: ./quickstart
 #include <cstdio>
 
-#include "mbtls/client.h"
+#include "mbtls/endpoint.h"
 #include "mbtls/middlebox.h"
-#include "mbtls/server.h"
 
 using namespace mbtls;
 

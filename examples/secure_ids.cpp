@@ -8,9 +8,8 @@
 #include <cstdio>
 
 #include "mbox/ids.h"
-#include "mbtls/client.h"
+#include "mbtls/endpoint.h"
 #include "mbtls/middlebox.h"
-#include "mbtls/server.h"
 
 using namespace mbtls;
 

@@ -8,9 +8,8 @@
 #include "baselines/split_tls.h"
 #include "mbox/cache.h"
 #include "http/http.h"
-#include "mbtls/client.h"
+#include "mbtls/endpoint.h"
 #include "mbtls/middlebox.h"
-#include "mbtls/server.h"
 #include "tls/engine.h"
 #include "x509/certificate.h"
 

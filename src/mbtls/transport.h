@@ -20,9 +20,8 @@
 
 #include <memory>
 
-#include "mbtls/client.h"
+#include "mbtls/endpoint.h"
 #include "mbtls/middlebox.h"
-#include "mbtls/server.h"
 #include "net/tcp.h"  // the default (simulator) backend
 #include "net/transport.h"
 #include "tls/engine.h"

@@ -4,9 +4,8 @@
 
 #include <memory>
 
-#include "mbtls/client.h"
+#include "mbtls/endpoint.h"
 #include "mbtls/middlebox.h"
-#include "mbtls/server.h"
 #include "tests/tls_test_util.h"
 
 namespace mbtls::mb::testing {

@@ -406,28 +406,45 @@ TEST(Chaos, SameSeedSameTraceByteForByte) {
 // ----------------------------------------------------- targeted scenarios
 
 TEST(Chaos, ExpiredHandshakeEmitsFatalAlert) {
-  // Unit-level check of the deadline hook itself: the session must emit a
-  // well-formed fatal handshake_failure alert when its deadline fires.
-  ClientSession::Options opts;
-  opts.tls.trust_anchors = {test_ca().root()};
-  opts.tls.server_name = "expired.example";
-  ClientSession client(std::move(opts));
+  // Unit-level check of the deadline hook itself, for both endpoint roles:
+  // the session must emit a well-formed fatal handshake_failure alert when
+  // its deadline fires.
+  static const auto server_id = make_identity("expired.example");
+  ClientSession::Options copts;
+  copts.tls.trust_anchors = {test_ca().root()};
+  copts.tls.server_name = "expired.example";
+  ClientSession client(std::move(copts));
+  ServerSession::Options sopts;
+  sopts.tls.private_key = server_id.key;
+  sopts.tls.certificate_chain = server_id.chain;
+  ServerSession server(std::move(sopts));
+
+  // Both sessions are mid-handshake: the client has sent its ClientHello and
+  // the server has answered it; neither flight is delivered any further.
   client.start();
-  (void)client.take_output();  // drop the ClientHello
-  ASSERT_TRUE(client.handshake_expired());
-  const Bytes out = client.take_output();
-  tls::RecordReader reader;
-  reader.feed(out);
-  const auto record = reader.next();
-  ASSERT_TRUE(record.has_value());
-  EXPECT_EQ(record->type, tls::ContentType::kAlert);
-  const auto alert = parse_alert(record->payload);
-  ASSERT_TRUE(alert.has_value());
-  EXPECT_EQ(alert->level, tls::AlertLevel::kFatal);
-  EXPECT_EQ(alert->description, tls::AlertDescription::kHandshakeFailure);
-  EXPECT_TRUE(client.failed());
-  // Idempotent: a second expiry on a dead session is a no-op.
-  EXPECT_FALSE(client.handshake_expired());
+  server.feed(client.take_output());
+  ASSERT_FALSE(server.take_output().empty());
+  ASSERT_FALSE(server.failed()) << server.error_message();
+
+  for (EndpointSession* session : std::initializer_list<EndpointSession*>{&client, &server}) {
+    SCOPED_TRACE(session == &client ? "client" : "server");
+    ASSERT_TRUE(session->handshake_expired());
+    const Bytes out = session->take_output();
+    tls::RecordReader reader;
+    reader.feed(out);
+    const auto record = reader.next();
+    ASSERT_TRUE(record.has_value());
+    EXPECT_EQ(record->type, tls::ContentType::kAlert);
+    const auto alert = parse_alert(record->payload);
+    ASSERT_TRUE(alert.has_value());
+    EXPECT_EQ(alert->level, tls::AlertLevel::kFatal);
+    EXPECT_EQ(alert->description, tls::AlertDescription::kHandshakeFailure);
+    EXPECT_FALSE(reader.next().has_value());
+    EXPECT_TRUE(session->failed());
+    // Idempotent: a second expiry on a dead session is a no-op.
+    EXPECT_FALSE(session->handshake_expired());
+    EXPECT_TRUE(session->take_output().empty());
+  }
 }
 
 TEST(Chaos, MiddleboxDiesMidSessionBothEndpointsTerminate) {

@@ -348,6 +348,33 @@ TEST(MbtlsSgx, WithoutEnclaveKeysAreExposedToInfrastructure) {
   EXPECT_FALSE(mip_platform.adversary_find_secret(*key).empty());
 }
 
+TEST(MbtlsSgx, ClientSecondarySecretsKeptApartFromPrimary) {
+  // The memory view must show every secret the client holds: a secondary
+  // session registers under its own "mbox<N>/" prefix rather than
+  // overwriting the primary session's entries.
+  const auto id = make_identity("origin.example");
+  sgx::MemoryStore store;
+  auto copts = client_options("origin.example");
+  copts.tls.secret_store = &store;
+  copts.tls.secret_prefix = "c/";
+  ClientSession client(std::move(copts));
+  ServerSession server(server_options(id));
+  Middlebox mbox(middlebox_options("proxy.mboxes.example", Middlebox::Side::kClientSide));
+  Chain chain{.client = &client, .middleboxes = {&mbox}, .server = &server};
+  client.start();
+  chain.pump();
+  ASSERT_TRUE(client.established()) << client.error_message();
+  ASSERT_EQ(client.middleboxes().size(), 1u);
+
+  const std::string sub = std::to_string(client.middleboxes()[0].subchannel);
+  EXPECT_TRUE(store.get("c/mbox" + sub + "/master_secret").has_value());
+  const auto primary_master = store.get("c/master_secret");
+  ASSERT_TRUE(primary_master.has_value());
+  EXPECT_EQ(*primary_master, client.primary().master_secret());
+  // Master secret plus four key-block entries, once per engine.
+  EXPECT_EQ(store.raw().size(), 10u);
+}
+
 TEST(MbtlsSgx, AttestationRequiredButMissingFails) {
   const auto id = make_identity("origin.example");
   auto copts = client_options("origin.example");
@@ -382,8 +409,6 @@ TEST(MbtlsPolicy, UntrustedMiddleboxCertificateRejected) {
   const auto rogue_ca =
       x509::CertificateAuthority::create("Rogue Mbox CA", x509::KeyType::kEcdsaP256, rogue_rng);
   const auto id = make_identity("origin.example");
-  ClientSession client(client_options("origin.example"));
-  ServerSession server(server_options(id));
 
   Middlebox::Options mopts;
   mopts.name = "rogue.example";
@@ -395,12 +420,23 @@ TEST(MbtlsPolicy, UntrustedMiddleboxCertificateRejected) {
   req.not_after = 2524607999;
   req.key = mopts.private_key->public_key();
   mopts.certificate_chain = {rogue_ca.issue(req, rogue_rng)};
-  Middlebox mbox(std::move(mopts));
 
-  Chain chain{.client = &client, .middleboxes = {&mbox}, .server = &server};
-  client.start();
-  chain.pump();
-  EXPECT_TRUE(client.failed());
+  // P3: a middlebox's certificate is verified even by a client that skips
+  // verifying the origin's.
+  for (const bool verify_origin : {true, false}) {
+    SCOPED_TRACE(verify_origin ? "origin verified" : "origin not verified");
+    auto copts = client_options("origin.example");
+    copts.tls.verify_peer_certificate = verify_origin;
+    ClientSession client(std::move(copts));
+    ServerSession server(server_options(id));
+    Middlebox mbox(mopts);
+
+    Chain chain{.client = &client, .middleboxes = {&mbox}, .server = &server};
+    client.start();
+    chain.pump();
+    EXPECT_TRUE(client.failed());
+    EXPECT_FALSE(mbox.joined());
+  }
 }
 
 TEST(Mbtls, LargeTransferThroughMiddleboxes) {
