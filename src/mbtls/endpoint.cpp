@@ -195,11 +195,7 @@ void EndpointSession::start_pending_secondaries() {
       sec.engine->start_with_preset_hello(*primary_.received_client_hello(),
                                           primary_.client_hello_raw());
     }
-    for (auto& raw : sec.pending_inner) {
-      tls::RecordReader inner_reader;
-      inner_reader.feed(raw);
-      while (auto inner = inner_reader.next()) sec.engine->feed_record(*inner);
-    }
+    for (auto& raw : sec.pending_inner) feed_encapsulated(*sec.engine, raw);
     sec.pending_inner.clear();
     pump_secondary(sub, sec);
   }
@@ -207,12 +203,7 @@ void EndpointSession::start_pending_secondaries() {
 
 void EndpointSession::pump_secondary(std::uint8_t sub, Secondary& sec) {
   if (!sec.engine) return;
-  for (auto& record : sec.engine->take_output_records()) {
-    tls::EncapsulatedRecord enc;
-    enc.subchannel = sub;
-    enc.inner_record = std::move(record);
-    append(out_, tls::frame_plaintext_record(tls::ContentType::kMbtlsEncapsulated, enc.encode()));
-  }
+  drain_encapsulated(*sec.engine, sub, out_);
   if (sec.engine->failed()) {
     fail("middlebox handshake (subchannel " + std::to_string(sub) +
          "): " + sec.engine->error_message());

@@ -10,6 +10,8 @@
 //    segment totals, middlebox join/demote/fallback outcomes.
 #pragma once
 
+#include <map>
+
 #include "util/trace.h"
 
 namespace mbtls::mb {

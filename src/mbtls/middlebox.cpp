@@ -40,27 +40,18 @@ sgx::MemoryStore* Middlebox::key_store() {
   return options_.untrusted_store;
 }
 
-void Middlebox::feed_from_client(ByteView data) {
+void Middlebox::feed(bool client_to_server, ByteView data) {
   // A middlebox must never take a session down because *it* failed to make
   // sense of the stream: on any parse error it becomes a transparent relay
   // and forwards the bytes (the endpoints' own MACs and state machines
   // remain the arbiters of validity).
+  tls::RecordReader& reader = client_to_server ? down_reader_ : up_reader_;
   try {
-    down_reader_.feed(data);
-    while (down_reader_.take_raw_into(raw_scratch_)) handle_downstream_record(raw_scratch_);
+    reader.feed(data);
+    while (reader.take_raw_into(raw_scratch_)) handle_record(client_to_server, raw_scratch_);
   } catch (const std::exception&) {
-    demote_to_relay("downstream parse error");
-    append(to_server_, data);
-  }
-}
-
-void Middlebox::feed_from_server(ByteView data) {
-  try {
-    up_reader_.feed(data);
-    while (up_reader_.take_raw_into(raw_scratch_)) handle_upstream_record(raw_scratch_);
-  } catch (const std::exception&) {
-    demote_to_relay("upstream parse error");
-    append(to_client_, data);
+    demote_to_relay(client_to_server ? "downstream parse error" : "upstream parse error");
+    append(onward(client_to_server), data);
   }
 }
 
@@ -89,8 +80,8 @@ void Middlebox::on_client_hello(const tls::Record& record, const Bytes& raw) {
     mode_ = Mode::kJoining;
     trace_.instant("mbtls", "join.begin", {{"side", "client"}});
     create_secondary(record);
-    // Secondary output (our ServerHello flight) is buffered until the
-    // primary ServerHello passes and we claim a subchannel.
+    // Secondary output (our ServerHello flight) stays in the engine until
+    // the primary ServerHello passes and we claim a subchannel.
     append(to_server_, raw);
     return;
   }
@@ -115,6 +106,32 @@ void Middlebox::on_client_hello(const tls::Record& record, const Bytes& raw) {
                  {{"subchannel", static_cast<int>(subchannel_)}});
   create_secondary(record);
   drain_secondary();
+}
+
+void Middlebox::on_server_hello(const Bytes& raw) {
+  // Remember the primary session ID: the resumption cache key (§3.5).
+  if (primary_session_id_.empty()) {
+    tls::HandshakeReassembler reasm;
+    reasm.feed(record_body(raw));
+    if (const auto msg = reasm.next()) {
+      try {
+        primary_session_id_ = tls::ServerHello::parse(msg->body).session_id;
+        maybe_cache_session();
+      } catch (const tls::ProtocolError&) {
+      }
+    }
+  }
+  if (options_.side == Side::kClientSide && !subchannel_assigned_) {
+    subchannel_ = static_cast<std::uint8_t>(max_subchannel_seen_upstream_ + 1);
+    subchannel_assigned_ = true;
+    trace_.instant("mbtls", "subchannel.claimed",
+                   {{"subchannel", static_cast<int>(subchannel_)}});
+    // Inject our secondary ServerHello *before* forwarding the primary
+    // one, so the next middlebox toward the client sees our subchannel
+    // claim first and numbers itself after us (paper §3.4).
+    drain_secondary();
+  }
+  append(to_client_, raw);
 }
 
 void Middlebox::create_secondary(const tls::Record& client_hello_record) {
@@ -143,9 +160,7 @@ void Middlebox::create_secondary(const tls::Record& client_hello_record) {
 
 void Middlebox::feed_secondary(ByteView inner_record_bytes) {
   if (!secondary_) return;
-  tls::RecordReader inner;
-  inner.feed(inner_record_bytes);
-  while (auto rec = inner.next()) secondary_->feed_record(*rec);
+  feed_encapsulated(*secondary_, inner_record_bytes);
   drain_secondary();
   maybe_cache_session();
 }
@@ -165,20 +180,10 @@ void Middlebox::maybe_cache_session() {
   session_cached_ = true;
 }
 
+// Called only once the subchannel is claimed.
 void Middlebox::drain_secondary() {
   if (!secondary_) return;
-  for (auto& record : secondary_->take_output_records()) {
-    tls::EncapsulatedRecord enc;
-    enc.subchannel = subchannel_;
-    enc.inner_record = std::move(record);
-    const Bytes framed =
-        tls::frame_plaintext_record(tls::ContentType::kMbtlsEncapsulated, enc.encode());
-    if (subchannel_assigned_) {
-      append(endpoint_out(), framed);
-    } else {
-      secondary_out_buffer_.push_back(framed);
-    }
-  }
+  drain_encapsulated(*secondary_, subchannel_, endpoint_out());
   if (secondary_->failed())
     demote_to_relay("secondary handshake failed: " + secondary_->error_message());
 }
@@ -233,13 +238,10 @@ void Middlebox::note_alert(ByteView plaintext, bool client_to_server) {
 void Middlebox::demote_to_relay(const std::string& reason) {
   if (mode_ != Mode::kRelay) trace_.instant("mbtls", "demote.relay", {{"reason", reason}});
   mode_ = Mode::kRelay;
+  // Our unsent secondary flight goes with the engine; buffered data is
+  // forwarded verbatim.
   secondary_.reset();
-  // Our unsent secondary flight is dropped; buffered data is forwarded
-  // verbatim.
-  secondary_out_buffer_.clear();
-  for (auto& b : buffered_data_) {
-    append(b.from_client ? to_server_ : to_client_, b.raw);
-  }
+  for (auto& b : buffered_data_) append(onward(b.from_client), b.raw);
   buffered_data_.clear();
 }
 
@@ -277,18 +279,16 @@ void Middlebox::reprotect(bool client_to_server, tls::ContentType type, MutableB
   } else if (type == tls::ContentType::kAlert) {
     note_alert(payload, client_to_server);
   }
-  bytes_processed_ += payload.size();
   ++records_reprotected_;
   if (trace_.on()) {
     trace_.counter("reprotect.records", 1);
     trace_.counter("reprotect.bytes", static_cast<double>(payload.size()));
   }
-  outbound.seal_into(type, payload, client_to_server ? to_server_ : to_client_);
+  outbound.seal_into(type, payload, onward(client_to_server));
 }
 
 void Middlebox::handle_protected_record(bool client_to_server, Bytes& raw) {
   const auto type = static_cast<tls::ContentType>(raw[0]);
-  Bytes& onward = client_to_server ? to_server_ : to_client_;
   if (joined_) {
     reprotect(client_to_server, type, record_body_mut(raw));
   } else if (mode_ == Mode::kJoining && secondary_ && secondary_->handshake_done()) {
@@ -300,139 +300,71 @@ void Middlebox::handle_protected_record(bool client_to_server, Bytes& raw) {
     // The session went to data phase without us: the peer is legacy.
     observed_legacy_peer_ = options_.side == Side::kServerSide;
     demote_to_relay("data phase reached before join");
-    append(onward, raw);
+    append(onward(client_to_server), raw);
   } else {
     // A fatal alert from the server during the handshake may mean a strict
     // legacy server choked on our announcement (§3.4): remember that.
     if (!client_to_server && options_.side == Side::kServerSide && mode_ == Mode::kJoining)
       observed_legacy_peer_ = true;
-    append(onward, raw);
+    append(onward(client_to_server), raw);
   }
 }
 
-// ------------------------------------------------------------ record loops
+// ------------------------------------------------------------ record path
 
 // `raw` is the caller's reused scratch buffer; branches that keep the record
 // beyond this call (buffering, hello parsing) copy what they need — all of
 // those are control-plane paths.
 
-void Middlebox::handle_downstream_record(Bytes& raw) {
+void Middlebox::handle_record(bool client_to_server, Bytes& raw) {
   const auto type = static_cast<tls::ContentType>(raw[0]);
-
   if (mode_ == Mode::kRelay) {
-    append(to_server_, raw);
-    return;
-  }
-
-  if (!saw_client_hello_) {
-    if (first_handshake_type(type, record_body(raw)) == tls::HandshakeType::kClientHello) {
-      on_client_hello(parse_record(raw), raw);
-      return;
-    }
-    if (type == tls::ContentType::kMbtlsMiddleboxAnnouncement) {
-      // Another middlebox (closer to the client) claiming a server-side slot.
-      ++announcements_seen_downstream_;
-      append(to_server_, raw);
-      return;
-    }
-    // Unknown pre-hello traffic: relay.
-    append(to_server_, raw);
+    append(onward(client_to_server), raw);
     return;
   }
 
   switch (type) {
     case tls::ContentType::kMbtlsEncapsulated: {
       const auto enc = tls::EncapsulatedRecord::parse(record_body(raw));
-      if (enc && options_.side == Side::kClientSide && subchannel_assigned_ &&
-          enc->subchannel == subchannel_) {
+      const bool from_own_endpoint = client_to_server == (options_.side == Side::kClientSide);
+      if (enc && from_own_endpoint && subchannel_assigned_ && enc->subchannel == subchannel_) {
         feed_secondary(enc->inner_record);
         return;
       }
-      append(to_server_, raw);
-      return;
-    }
-    case tls::ContentType::kMbtlsMiddleboxAnnouncement:
-      ++announcements_seen_downstream_;
-      append(to_server_, raw);
-      return;
-    case tls::ContentType::kApplicationData:
-    case tls::ContentType::kAlert:
-      handle_protected_record(/*client_to_server=*/true, raw);
-      return;
-    default:
-      // Primary handshake traffic: cut-through forward.
-      append(to_server_, raw);
-      return;
-  }
-}
-
-void Middlebox::handle_upstream_record(Bytes& raw) {
-  const auto type = static_cast<tls::ContentType>(raw[0]);
-
-  if (mode_ == Mode::kRelay) {
-    append(to_client_, raw);
-    return;
-  }
-
-  switch (type) {
-    case tls::ContentType::kMbtlsEncapsulated: {
-      const auto enc = tls::EncapsulatedRecord::parse(record_body(raw));
-      if (enc && options_.side == Side::kServerSide && subchannel_assigned_ &&
-          enc->subchannel == subchannel_) {
-        feed_secondary(enc->inner_record);
-        return;
-      }
-      if (enc && options_.side == Side::kClientSide) {
+      // A client-side box numbers itself after the boxes nearer the server.
+      if (enc && !from_own_endpoint && options_.side == Side::kClientSide) {
         max_subchannel_seen_upstream_ = std::max(max_subchannel_seen_upstream_, enc->subchannel);
       }
-      append(to_client_, raw);
-      return;
+      break;
     }
+    case tls::ContentType::kMbtlsMiddleboxAnnouncement:
+      // Another middlebox (closer to the client) claiming a server-side slot.
+      if (client_to_server) ++announcements_seen_downstream_;
+      break;
     case tls::ContentType::kHandshake: {
-      // Observe the primary ServerHello: remember the primary session ID
-      // (the resumption cache key, §3.5) and — on the client side — claim a
-      // subchannel, injecting our secondary ServerHello ahead of it so the
-      // next middlebox toward the client numbers itself after us (§3.4).
-      const ByteView body = record_body(raw);
-      if (mode_ == Mode::kJoining && primary_session_id_.empty() &&
-          first_handshake_type(type, body) == tls::HandshakeType::kServerHello) {
-        tls::HandshakeReassembler reasm;
-        reasm.feed(body);
-        if (const auto msg = reasm.next()) {
-          try {
-            primary_session_id_ = tls::ServerHello::parse(msg->body).session_id;
-            maybe_cache_session();
-          } catch (const tls::ProtocolError&) {
-          }
-        }
-      }
-      if (options_.side == Side::kClientSide && mode_ == Mode::kJoining &&
-          !subchannel_assigned_ &&
-          first_handshake_type(type, body) == tls::HandshakeType::kServerHello) {
-        subchannel_ = static_cast<std::uint8_t>(max_subchannel_seen_upstream_ + 1);
-        subchannel_assigned_ = true;
-        trace_.instant("mbtls", "subchannel.claimed",
-                       {{"subchannel", static_cast<int>(subchannel_)}});
-        // Inject our secondary ServerHello *before* forwarding the primary
-        // one, so the next middlebox toward the client sees our subchannel
-        // claim first and numbers itself after us (paper §3.4).
-        for (auto& framed : secondary_out_buffer_) append(to_client_, framed);
-        secondary_out_buffer_.clear();
-        drain_secondary();
-        append(to_client_, raw);
+      const auto hello = first_handshake_type(type, record_body(raw));
+      if (client_to_server && !saw_client_hello_ && hello == tls::HandshakeType::kClientHello) {
+        on_client_hello(parse_record(raw), raw);
         return;
       }
-      append(to_client_, raw);
-      return;
+      if (!client_to_server && mode_ == Mode::kJoining &&
+          hello == tls::HandshakeType::kServerHello) {
+        on_server_hello(raw);
+        return;
+      }
+      break;  // other primary handshake traffic: cut-through forward
     }
     case tls::ContentType::kApplicationData:
     case tls::ContentType::kAlert:
-      handle_protected_record(/*client_to_server=*/false, raw);
+      // Before the ClientHello nothing is known of the session: the client's
+      // records pass verbatim rather than demoting the box to relay.
+      if (client_to_server && !saw_client_hello_) break;
+      handle_protected_record(client_to_server, raw);
       return;
     default:
-      append(to_client_, raw);
-      return;
+      break;
   }
+  append(onward(client_to_server), raw);
 }
 
 }  // namespace mbtls::mb

@@ -71,8 +71,8 @@ class Middlebox {
   explicit Middlebox(Options options);
 
   // Byte-stream interface; the owner splices two transport connections.
-  void feed_from_client(ByteView data);
-  void feed_from_server(ByteView data);
+  void feed_from_client(ByteView data) { feed(/*client_to_server=*/true, data); }
+  void feed_from_server(ByteView data) { feed(/*client_to_server=*/false, data); }
   Bytes take_to_client() { return std::move(to_client_); }
   Bytes take_to_server() { return std::move(to_server_); }
 
@@ -99,18 +99,21 @@ class Middlebox {
   bool saw_close_notify_from_server() const { return close_seen_s2c_; }
 
   std::uint64_t records_reprotected() const { return records_reprotected_; }
-  std::uint64_t bytes_processed() const { return bytes_processed_; }
   std::uint64_t auth_failures() const { return auth_failures_; }
 
  private:
   enum class Mode { kUndecided, kJoining, kRelay };
 
-  void handle_downstream_record(Bytes& raw);  // arriving from the client
-  void handle_upstream_record(Bytes& raw);    // arriving from the server
+  void feed(bool client_to_server, ByteView data);
+  /// One record in either direction. The direction selects only the
+  /// onward stream, whether an Encapsulated record comes from this box's
+  /// own endpoint, which hello is observed, and whether announcements count.
+  void handle_record(bool client_to_server, Bytes& raw);
   /// ApplicationData and Alert records in either direction: re-protected
   /// once joined, buffered while key material is pending, relayed otherwise.
   void handle_protected_record(bool client_to_server, Bytes& raw);
   void on_client_hello(const tls::Record& record, const Bytes& raw);
+  void on_server_hello(const Bytes& raw);
   void create_secondary(const tls::Record& client_hello_record);
   void feed_secondary(ByteView inner_record_bytes);
   void drain_secondary();
@@ -124,9 +127,9 @@ class Middlebox {
   void note_alert(ByteView plaintext, bool client_to_server);
   void flush_buffered();
   void demote_to_relay(const std::string& reason);
-  Bytes& endpoint_out() {
-    return options_.side == Side::kClientSide ? to_client_ : to_server_;
-  }
+  Bytes& onward(bool client_to_server) { return client_to_server ? to_server_ : to_client_; }
+  /// Toward this box's own endpoint: where its secondary flight goes.
+  Bytes& endpoint_out() { return onward(options_.side == Side::kServerSide); }
   sgx::MemoryStore* key_store();
 
   Options options_;
@@ -146,8 +149,8 @@ class Middlebox {
   Bytes primary_session_id_;                        // from the primary ServerHello
   bool session_cached_ = false;
 
+  // The secondary engine keeps its output until the subchannel is claimed.
   std::unique_ptr<tls::Engine> secondary_;
-  std::vector<Bytes> secondary_out_buffer_;  // held until subchannel assigned
 
   std::optional<HopDuplex> toward_client_;
   std::optional<HopDuplex> toward_server_;
@@ -160,14 +163,13 @@ class Middlebox {
   std::deque<Buffered> buffered_data_;
 
   tls::RecordReader down_reader_, up_reader_;
-  // Reused per record by the feed loops (take_raw_into): the steady-state
+  // Reused per record by the feed loop (take_raw_into): the steady-state
   // data path — drain record, open in place, seal into the output stream —
   // performs no per-record allocation.
   Bytes raw_scratch_;
   Bytes to_client_, to_server_;
 
   std::uint64_t records_reprotected_ = 0;
-  std::uint64_t bytes_processed_ = 0;
   std::uint64_t auth_failures_ = 0;
 };
 

@@ -11,9 +11,9 @@
 //
 // The bindings also own the failure surface the sans-IO cores cannot see:
 // handshake deadlines (sessions have no clock), propagation of abnormal TCP
-// teardown into explicit session errors, backpressure buffering (a record
-// taken from a session or middlebox is never dropped just because the
-// destination cannot accept it *yet*), and the P5 degradation path
+// teardown into explicit session errors, backpressure (output is taken from
+// a session or middlebox only when the destination can accept it, so no
+// record is dropped just because it cannot *yet*), and the P5 degradation path
 // (FallbackClient) that redials the origin directly when the middlebox path
 // dies mid-handshake.
 #pragma once
@@ -29,22 +29,21 @@
 
 namespace mbtls::mb {
 
-/// Shared output rule for all bindings: output taken from a sans-IO core is
-/// appended to `pending` and drained only when the destination can take it —
-/// on flush, on connect, and on the backend's writability edge. Only a
+/// Shared output rule for all bindings: a sans-IO core's output stays in the
+/// core, its one queue, until the destination can take it; flush runs on
+/// every event, on connect, and on the backend's writability edge. Only a
 /// *closed* destination discards (the bytes are undeliverable); "not yet
-/// established" and "backpressured" both buffer. Losing already-taken
-/// records on a transient !writable() was the transport-glue bug the
-/// simulator's lockstep delivery used to hide.
-inline void drain_or_buffer(net::Stream& stream, Bytes& pending) {
-  if (pending.empty()) return;
+/// established" and "backpressured" both leave the output queued. Losing
+/// already-taken records on a transient !writable() was the transport-glue
+/// bug the simulator's lockstep delivery used to hide.
+template <typename Take>
+void flush_to(net::Stream& stream, Take&& take) {
   if (stream.closed()) {  // teardown raced the output: nowhere to go
-    pending.clear();
-    return;
+    (void)take();
+  } else if (stream.established() && stream.writable()) {
+    const Bytes out = take();
+    if (!out.empty()) stream.send(out);
   }
-  if (!stream.established() || !stream.writable()) return;  // retried on connect/writable
-  stream.send(pending);
-  pending.clear();
 }
 
 /// Binds anything with feed()/take_output() (ClientSession, ServerSession,
@@ -77,8 +76,7 @@ class SocketBinding {
 
   /// Push any pending output (call after start() or send()).
   void flush() {
-    append(pending_, session_.take_output());
-    drain_or_buffer(socket_, pending_);
+    flush_to(socket_, [&] { return session_.take_output(); });
   }
 
   /// Enforce the session's handshake deadline: one event `timeout` from now
@@ -107,7 +105,6 @@ class SocketBinding {
  private:
   Session& session_;
   net::Stream& socket_;
-  Bytes pending_;
   std::shared_ptr<const bool> alive_ = std::make_shared<const bool>(true);
 };
 
@@ -139,19 +136,16 @@ class MiddleboxBinding {
     };
   }
 
-  /// Take whatever the middlebox produced and push it toward both peers.
-  /// Symmetric buffering: records already taken from the middlebox are
-  /// buffered per direction (`pending_up_`/`pending_down_`) whenever the
-  /// destination is not established or not writable, and drained on the
-  /// connect/writable edges — never silently discarded. (flush() used to
-  /// drop take_to_server()/take_to_client() output on !writable(), and
-  /// buffered only the upstream pre-connect case; real-socket short-write
+  /// Push whatever the middlebox produced toward both peers. Symmetric:
+  /// each direction's output stays in the middlebox while its destination
+  /// is not established or not writable, and drains on the connect/writable
+  /// edges — never silently discarded. (flush() used to drop
+  /// take_to_server()/take_to_client() output on !writable(), and buffered
+  /// only the upstream pre-connect case; real-socket short-write
   /// backpressure makes that loss deterministic.)
   void flush() {
-    append(pending_up_, mbox_.take_to_server());
-    append(pending_down_, mbox_.take_to_client());
-    drain_or_buffer(up_, pending_up_);
-    drain_or_buffer(down_, pending_down_);
+    flush_to(up_, [&] { return mbox_.take_to_server(); });
+    flush_to(down_, [&] { return mbox_.take_to_client(); });
   }
 
   /// Enforce the middlebox's join deadline (demote-to-relay on expiry).
@@ -168,8 +162,6 @@ class MiddleboxBinding {
   Middlebox& mbox_;
   net::Stream& down_;
   net::Stream& up_;
-  Bytes pending_up_;
-  Bytes pending_down_;
   std::shared_ptr<const bool> alive_ = std::make_shared<const bool>(true);
 };
 

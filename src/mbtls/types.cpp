@@ -47,4 +47,20 @@ tls::HopKeys bridge_hop_keys(const tls::ConnectionKeys& primary) {
   return keys;
 }
 
+void feed_encapsulated(tls::Engine& engine, ByteView inner_records) {
+  tls::RecordReader reader;
+  reader.feed(inner_records);
+  while (auto record = reader.next()) engine.feed_record(*record);
+}
+
+void drain_encapsulated(tls::Engine& engine, std::uint8_t subchannel, Bytes& out) {
+  tls::RecordReader splitter;
+  splitter.feed(engine.take_output());
+  tls::EncapsulatedRecord enc;
+  enc.subchannel = subchannel;
+  while (splitter.take_raw_into(enc.inner_record)) {
+    append(out, tls::frame_plaintext_record(tls::ContentType::kMbtlsEncapsulated, enc.encode()));
+  }
+}
+
 }  // namespace mbtls::mb

@@ -54,6 +54,14 @@ tls::HopKeys generate_hop_keys(std::size_t key_len, crypto::Drbg& rng);
 /// numbers, in HopKeys form.
 tls::HopKeys bridge_hop_keys(const tls::ConnectionKeys& primary);
 
+/// The Encapsulated subchannel codec (§3.4), shared by endpoints and
+/// middleboxes: feed every TLS record in `inner_records` (one Encapsulated
+/// record's payload) to a secondary engine ...
+void feed_encapsulated(tls::Engine& engine, ByteView inner_records);
+/// ... and wrap each record the engine has pending in its own Encapsulated
+/// record on `subchannel`, appended to `out`.
+void drain_encapsulated(tls::Engine& engine, std::uint8_t subchannel, Bytes& out);
+
 /// Approval callback: endpoints veto middleboxes here (paper §3.5 "Trust").
 using ApprovalCallback = std::function<bool(const MiddleboxDescriptor&)>;
 

@@ -79,15 +79,6 @@ void Engine::note_flight(bool outbound) {
 
 Bytes Engine::take_output() { return std::move(output_); }
 
-std::vector<Bytes> Engine::take_output_records() {
-  std::vector<Bytes> records;
-  RecordReader splitter;
-  splitter.feed(output_);
-  output_.clear();
-  while (auto raw = splitter.take_raw()) records.push_back(std::move(*raw));
-  return records;
-}
-
 // -------------------------------------------------------------- transcript
 
 void Engine::append_transcript(ByteView raw_message) { append(transcript_, raw_message); }

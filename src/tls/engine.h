@@ -196,9 +196,6 @@ class Engine {
   // --------------------------------------------------------------- egress
   /// Drain the pending wire bytes.
   Bytes take_output();
-  /// Drain pending wire bytes as whole records (for encapsulation).
-  std::vector<Bytes> take_output_records();
-  bool has_output() const { return !output_.empty(); }
 
   // ------------------------------------------------------------- app data
   void send(ByteView application_data);
@@ -276,7 +273,6 @@ class Engine {
   void emit_handshake(HandshakeType type, ByteView body);
   void append_transcript(ByteView raw_message);
   Bytes transcript_hash() const;
-  void compute_keys_and_activate_write();
   void activate_read_keys();
   void derive_key_block_once();
   void fail(AlertDescription alert, const std::string& message);

@@ -93,8 +93,6 @@ class RecordReader {
   /// drains records through one reused scratch buffer with this.
   bool take_raw_into(Bytes& raw);
 
-  bool buffer_empty() const { return pos_ == buffer_.size(); }
-
  private:
   std::optional<std::size_t> complete_record_size() const;
   void consume(std::size_t n);

@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <map>
 
 namespace mbtls::trace {
 
@@ -22,28 +23,12 @@ void Emitter::emit(Phase phase, std::string_view category,
 void Recorder::record(Event e) {
   e.ts = clock_ ? clock_() : seq_;
   ++seq_;
-  if (e.phase == Phase::kCounter) {
-    counters_[e.actor + "/" + e.name] += e.delta;
-  }
   events_.push_back(std::move(e));
-}
-
-double Recorder::counter_total(std::string_view name) const {
-  double total = 0;
-  for (const auto& [key, value] : counters_) {
-    auto slash = key.rfind('/');
-    if (slash != std::string::npos &&
-        std::string_view(key).substr(slash + 1) == name) {
-      total += value;
-    }
-  }
-  return total;
 }
 
 void Recorder::clear() {
   seq_ = 0;
   events_.clear();
-  counters_.clear();
 }
 
 std::string json_escape(std::string_view s) {
@@ -161,9 +146,12 @@ std::string Recorder::chrome_trace_json() const {
 std::string Recorder::counter_dump() const {
   // Explicit counter totals plus a tally of every non-counter event name,
   // both keyed "actor/name" and emitted in sorted order.
-  std::map<std::string, double> lines = counters_;
+  std::map<std::string, double> lines;
   for (const Event& e : events_) {
-    if (e.phase == Phase::kCounter) continue;
+    if (e.phase == Phase::kCounter) {
+      lines[e.actor + "/" + e.name] += e.delta;
+      continue;
+    }
     if (e.phase == Phase::kEnd) continue;  // count spans once, at begin
     lines["events/" + e.actor + "/" + e.category + "." + e.name] += 1;
   }

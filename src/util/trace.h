@@ -28,7 +28,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -125,8 +124,8 @@ class Emitter {
   std::string actor_;
 };
 
-/// In-memory sink: keeps the full event list, accumulates counters, and
-/// exports Chrome-trace JSON / a flat counter dump.
+/// In-memory sink: keeps the full event list and exports Chrome-trace JSON /
+/// a flat counter dump (counter totals are summed at export).
 class Recorder : public Sink {
  public:
   using Clock = std::function<std::uint64_t()>;
@@ -138,10 +137,6 @@ class Recorder : public Sink {
   void record(Event e) override;
 
   const std::vector<Event>& events() const { return events_; }
-  /// Counter totals keyed "actor/name" (explicit kCounter events only).
-  const std::map<std::string, double>& counters() const { return counters_; }
-  /// Total of one counter across all actors.
-  double counter_total(std::string_view name) const;
   void clear();
 
   /// Chrome trace-event JSON ("traceEvents" array; actors become threads).
@@ -154,7 +149,6 @@ class Recorder : public Sink {
   Clock clock_;
   std::uint64_t seq_ = 0;
   std::vector<Event> events_;
-  std::map<std::string, double> counters_;
 };
 
 /// Fan-out sink, e.g. a Recorder plus a live counter aggregator.

@@ -159,6 +159,30 @@ TEST(MbtlsEdge, ServerDataBeforeKeyMaterialIsBuffered) {
   EXPECT_TRUE(mbox.joined());
 }
 
+// ------------------------------------------------------- pre-ClientHello
+
+TEST(MbtlsEdge, ClientDataBeforeClientHelloIsRelayedVerbatim) {
+  // Before the ClientHello the box knows nothing of the session: client
+  // ApplicationData passes through byte for byte and must not demote the box
+  // to relay, so the handshake that follows still joins it.
+  const auto id = make_identity("prehello.example");
+  Middlebox mbox(middlebox_options("prehello-proxy.example", Middlebox::Side::kClientSide));
+  const Bytes early = tls::frame_plaintext_record(tls::ContentType::kApplicationData,
+                                                  to_bytes(std::string_view("before hello")));
+  mbox.feed_from_client(early);
+  EXPECT_EQ(mbox.take_to_server(), early);
+  EXPECT_FALSE(mbox.relay_mode());
+
+  ClientSession client(client_options("prehello.example"));
+  ServerSession server(server_options(id));
+  Chain chain{.client = &client, .middleboxes = {&mbox}, .server = &server};
+  client.start();
+  chain.pump();
+  ASSERT_TRUE(client.established()) << client.error_message();
+  EXPECT_TRUE(mbox.joined());
+  EXPECT_EQ(client.middleboxes().size(), 1u);
+}
+
 // -------------------------------------------------------------- injection
 
 TEST(MbtlsEdge, ForgedRecordAtMiddleboxIsDiscarded) {

@@ -133,7 +133,6 @@ TEST(MbtlsResumption, AttestedMiddleboxNeedsNoFreshQuoteOnResumption) {
     return opts;
   };
 
-  std::uint64_t attested_quotes = 0;
   {
     ClientSession client(client_opts(41));
     ServerSession server(rig.server_opts(42));
@@ -143,7 +142,6 @@ TEST(MbtlsResumption, AttestedMiddleboxNeedsNoFreshQuoteOnResumption) {
     chain.pump();
     ASSERT_TRUE(client.established()) << client.error_message();
     EXPECT_TRUE(client.middleboxes()[0].attested);
-    attested_quotes = enclave.transitions();
   }
   {
     ClientSession client(client_opts(51));
@@ -156,7 +154,6 @@ TEST(MbtlsResumption, AttestedMiddleboxNeedsNoFreshQuoteOnResumption) {
     EXPECT_TRUE(mbox.resumed());
     // No new quote was generated for the resumed handshake.
     EXPECT_FALSE(client.middleboxes()[0].attested);
-    (void)attested_quotes;
   }
 }
 
