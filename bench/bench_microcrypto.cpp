@@ -4,8 +4,10 @@
 // was differentially tested against (see MBTLS_REFERENCE_CRYPTO), so this
 // binary can measure both in one process and report the speedup directly:
 //   * P-256 scalar multiplication — fixed-window comb (mul_base), fixed
-//     window with per-point table (mul), Shamir interleaving (mul_add) vs
-//     the plain double-and-add ladder,
+//     window with per-point table (mul), the interleaved wNAF ladder
+//     (mul_add) vs the plain double-and-add ladder,
+//   * ECDSA verification — the wNAF ladder with its inversion-free x check
+//     vs the same verification over mul_add_reference,
 //   * AES-GCM seal/open — 4-block interleaved CTR + word XOR + table GHASH
 //     vs block-at-a-time CTR with bit-serial GHASH,
 //   * BigInt::mod_exp — sliding-window vs bit-at-a-time Montgomery ladder,
@@ -24,6 +26,7 @@
 #include "crypto/backend.h"
 #include "crypto/drbg.h"
 #include "crypto/gcm.h"
+#include "ec/ecdsa.h"
 #include "ec/p256.h"
 #include "tls/record.h"
 
@@ -85,6 +88,22 @@ void p256_metrics(std::vector<Metric>& out) {
   ma.reference = us_per_op([&] { (void)curve.mul_add_reference(k1, k2, q); });
   ma.speedup = ma.reference / ma.fast;
   out.push_back(ma);
+
+  // A certificate-shaped verify: SHA-384 over a 165-byte message, the size
+  // of the randoms plus ECDHE parameters a ServerKeyExchange signs.
+  const ec::EcdsaKeyPair key = ec::ecdsa_generate(rng_local);
+  const Bytes msg = rng_local.bytes(165);
+  const Bytes sig = ec::ecdsa_sign(key, crypto::HashAlgo::kSha384, msg, rng_local);
+  Metric verify{"ecdsa_verify", "us_per_op", 0, 0, 0};
+  verify.fast = us_per_op([&] {
+    if (!ec::ecdsa_verify(key.public_key, crypto::HashAlgo::kSha384, msg, sig)) std::abort();
+  });
+  verify.reference = us_per_op([&] {
+    if (!ec::ecdsa_verify_reference(key.public_key, crypto::HashAlgo::kSha384, msg, sig))
+      std::abort();
+  });
+  verify.speedup = verify.reference / verify.fast;
+  out.push_back(verify);
 }
 
 /// Forces a crypto backend for the enclosing scope (bench-local copy of the
@@ -310,10 +329,10 @@ int main(int argc, char** argv) {
   }
 
   // Regression gate mirrored by the acceptance criteria: the windowed
-  // ladder must beat the reference ladder 3x on the fixed base, and the
-  // fast GCM data plane must beat the reference seal 1.5x. Sanitizer
-  // instrumentation skews the two paths differently, so only uninstrumented
-  // builds enforce the floor.
+  // ladder must beat the reference ladder 3x on the fixed base, the wNAF
+  // ladder 1.9x on u1*G + u2*Q, and the fast GCM data plane must beat the
+  // reference seal 1.5x. Sanitizer instrumentation skews the two paths
+  // differently, so only uninstrumented builds enforce the floor.
 #ifdef MBTLS_SANITIZER_BUILD
   std::printf("sanitizer build: speedup floors not enforced\n");
   return 0;
@@ -321,6 +340,15 @@ int main(int argc, char** argv) {
   for (const auto& m : metrics) {
     if (m.name == "p256_mul_base" && m.speedup < 3.0) {
       std::fprintf(stderr, "FAIL: p256_mul_base speedup %.2fx < 3x\n", m.speedup);
+      return 1;
+    }
+    // The wNAF verify ladder read 2.12-2.77x over five full runs and
+    // 2.13-2.62x over ten --quick runs on a 4-vCPU Xeon; the w=4 window
+    // interleave it replaced read 1.8-2.1x against its own reference. The
+    // reference shares the faster doubling and inversion, so the floor
+    // catches a lost ladder (a fall back toward 1x), not a few percent.
+    if (m.name == "p256_mul_add" && m.speedup < 1.9) {
+      std::fprintf(stderr, "FAIL: p256_mul_add speedup %.2fx < 1.9x\n", m.speedup);
       return 1;
     }
     if (m.name == "aes_gcm_seal_8192" && m.speedup < 1.5) {

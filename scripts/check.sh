@@ -72,9 +72,10 @@ ctest --preset tsan -R 'DrbgThreading\.' --output-on-failure
 
 # The control-plane caches (sharded session cache, cert pool, quote cache,
 # ticket key rotation) are hit from several threads while the main thread
-# rotates keys — the mutex-striping and atomic counters must hold up.
-step "tsan: control-plane shard hammer"
-ctest --preset tsan -R 'ControlPlaneConcurrency\.' --output-on-failure
+# rotates keys — the mutex-striping and atomic counters must hold up. The
+# cert pool's signature memo is hammered on one chain by every worker.
+step "tsan: control-plane shard hammer + cert pool signature memo"
+ctest --preset tsan -R 'ControlPlaneConcurrency\.|CertPoolMemoConcurrency\.' --output-on-failure
 
 # The loopback integration tests drive epoll loops on real threads — three
 # single loops in the flagship pass, 4-loop SO_REUSEPORT groups per tier in

@@ -1,5 +1,7 @@
 #include "ec/ecdsa.h"
 
+#include <optional>
+
 #include "crypto/hmac.h"
 
 namespace mbtls::ec {
@@ -109,27 +111,47 @@ Bytes ecdsa_sign(const EcdsaKeyPair& key, crypto::HashAlgo algo, ByteView messag
   }
 }
 
-bool ecdsa_verify(const AffinePoint& public_key, crypto::HashAlgo algo, ByteView message,
-                  ByteView signature) {
-  if (signature.size() != 64) return false;
+namespace {
+/// The public inputs of the verification equation R = u1*G + u2*Q, or
+/// nullopt when the key or the signature is malformed.
+struct VerifyScalars {
+  U256 r, u1, u2;
+};
+
+std::optional<VerifyScalars> verify_scalars(const AffinePoint& public_key,
+                                            crypto::HashAlgo algo, ByteView message,
+                                            ByteView signature) {
+  if (signature.size() != 64) return std::nullopt;
   const auto& curve = P256::instance();
   const auto& fn = curve.scalar_field();
-  if (!curve.on_curve(public_key)) return false;
+  if (!curve.on_curve(public_key)) return std::nullopt;
 
   const U256 r = U256::from_bytes(signature.first(32));
   const U256 s = U256::from_bytes(signature.subspan(32));
-  if (r.is_zero() || s.is_zero()) return false;
+  if (r.is_zero() || s.is_zero()) return std::nullopt;
   // r, s must be < n.
-  if (fn.reduce_once(r) != r || fn.reduce_once(s) != s) return false;
+  if (fn.reduce_once(r) != r || fn.reduce_once(s) != s) return std::nullopt;
 
   const U256 z = hash_to_scalar(algo, message);
-  const U256 sm = fn.to_mont(s);
-  const U256 w = fn.inv(sm);  // s^-1 in Montgomery form
-  const U256 u1 = fn.from_mont(fn.mul(fn.to_mont(z), w));
-  const U256 u2 = fn.from_mont(fn.mul(fn.to_mont(r), w));
-  const AffinePoint rp = curve.mul_add(u1, u2, public_key);
-  if (rp.infinity) return false;
-  return fn.reduce_once(rp.x) == r;
+  const U256 w = fn.inv(fn.to_mont(s));  // s^-1 in Montgomery form
+  return VerifyScalars{r, fn.from_mont(fn.mul(fn.to_mont(z), w)),
+                       fn.from_mont(fn.mul(fn.to_mont(r), w))};
+}
+}  // namespace
+
+bool ecdsa_verify(const AffinePoint& public_key, crypto::HashAlgo algo, ByteView message,
+                  ByteView signature) {
+  const auto in = verify_scalars(public_key, algo, message, signature);
+  return in && P256::instance().mul_add_x_equals(in->u1, in->u2, public_key, in->r);
+}
+
+bool ecdsa_verify_reference(const AffinePoint& public_key, crypto::HashAlgo algo,
+                            ByteView message, ByteView signature) {
+  const auto in = verify_scalars(public_key, algo, message, signature);
+  if (!in) return false;
+  const auto& curve = P256::instance();
+  const AffinePoint rp = curve.mul_add_reference(in->u1, in->u2, public_key);
+  return !rp.infinity && curve.scalar_field().reduce_once(rp.x) == in->r;
 }
 
 }  // namespace mbtls::ec

@@ -27,8 +27,14 @@ EcdsaKeyPair ecdsa_generate(crypto::Drbg& rng);
 Bytes ecdsa_sign(const EcdsaKeyPair& key, crypto::HashAlgo algo, ByteView message,
                  crypto::Drbg& rng);
 
-/// Verify an r || s signature over `message`.
+/// Verify an r || s signature over `message`: one wNAF ladder for
+/// u1*G + u2*Q and an inversion-free comparison of its x with r.
 bool ecdsa_verify(const AffinePoint& public_key, crypto::HashAlgo algo, ByteView message,
                   ByteView signature);
+
+/// The same verification over `P256::mul_add_reference` and an affine
+/// comparison: the differential-test oracle and the bench baseline.
+bool ecdsa_verify_reference(const AffinePoint& public_key, crypto::HashAlgo algo,
+                            ByteView message, ByteView signature);
 
 }  // namespace mbtls::ec

@@ -1,5 +1,6 @@
 #include "ec/p256.h"
 
+#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <vector>
@@ -83,6 +84,33 @@ inline std::uint32_t window4(const U256& k, int i) {
 }
 
 }  // namespace
+
+Wnaf5 wnaf5(const U256& k) {
+  Wnaf5 digits{};
+  // Five limbs: adding back a negative digit can carry past bit 255.
+  u64 v[5] = {k.w[0], k.w[1], k.w[2], k.w[3], 0};
+  for (auto& digit : digits) {
+    if (v[0] & 1) {
+      int d = static_cast<int>(v[0] & 31);
+      if (d >= 16) d -= 32;
+      digit = static_cast<std::int8_t>(d);
+      if (d > 0) {
+        v[0] -= static_cast<u64>(d);  // the low five bits were exactly d
+      } else {
+        u64 carry = static_cast<u64>(-d);
+        for (u64& limb : v) {
+          limb += carry;
+          if (limb >= carry) break;
+          carry = 1;
+        }
+      }
+      // v is now a multiple of 32: the next four digits are zero.
+    }
+    for (int j = 0; j < 4; ++j) v[j] = (v[j] >> 1) | (v[j + 1] << 63);
+    v[4] >>= 1;
+  }
+  return digits;
+}
 
 Mont::Mont(const U256& modulus) : n_(modulus) {
   if ((n_.w[0] & 1) == 0) throw std::invalid_argument("Mont: modulus must be odd");
@@ -260,9 +288,6 @@ P256::P256()
   const U256 gx = from_hex64("6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296");
   const U256 gy = from_hex64("4fe342e2fe1a7f9b8ee7eb4a7c0f9e162bce33576b315ececbb6406837bf51f5");
   b_mont_ = fp_.to_mont(b);
-  U256 three{};
-  three.w[0] = 3;
-  three_mont_ = fp_.to_mont(three);
   g_.x = gx;
   g_.y = gy;
 
@@ -299,7 +324,7 @@ AffinePoint P256::to_affine(const Jacobian& p) const {
     r.infinity = true;
     return r;
   }
-  const U256 zinv = fp_.inv(p.z);
+  const U256 zinv = inv_p(p.z);
   const U256 zinv2 = fp_.sqr(zinv);
   const U256 zinv3 = fp_.mul(zinv2, zinv);
   r.x = fp_.from_mont(fp_.mul(p.x, zinv2));
@@ -316,7 +341,8 @@ P256::Jacobian P256::dbl(const Jacobian& p) const {
   const U256 z2 = fp_.sqr(p.z);
   const U256 t1 = fp_.sub(p.x, z2);
   const U256 t2 = fp_.add(p.x, z2);
-  const U256 m = fp_.mul(three_mont_, fp_.mul(t1, t2));
+  const U256 t1t2 = fp_.mul(t1, t2);
+  const U256 m = fp_.add(fp_.add(t1t2, t1t2), t1t2);
   const U256 y2 = fp_.sqr(p.y);
   const U256 s = fp_.mul(fp_.add(fp_.add(p.x, p.x), fp_.add(p.x, p.x)), y2);  // 4*X*Y^2
   U256 x3 = fp_.sub(fp_.sqr(m), fp_.add(s, s));
@@ -444,7 +470,7 @@ void P256::batch_to_affine_mont(const Jacobian* in, AffineMont* out, std::size_t
     acc = fp_.mul(acc, in[i].z);
     prefix[i] = acc;
   }
-  U256 inv_tail = fp_.inv(acc);  // (z0*...*z_{n-1})^-1
+  U256 inv_tail = inv_p(acc);  // (z0*...*z_{n-1})^-1
   for (std::size_t i = count; i-- > 0;) {
     const U256 zinv = i == 0 ? inv_tail : fp_.mul(inv_tail, prefix[i - 1]);
     inv_tail = fp_.mul(inv_tail, in[i].z);
@@ -459,6 +485,39 @@ void P256::build_window_table(const AffinePoint& p, AffineMont out[kTableSize]) 
   jt[0] = to_jacobian(p);
   for (int j = 1; j < kTableSize; ++j) jt[j] = add(jt[j - 1], jt[0]);
   batch_to_affine_mont(jt, out, kTableSize);
+}
+
+void P256::build_odd_table(const AffinePoint& p, AffineMont out[kOddMultiples]) const {
+  Jacobian jt[kOddMultiples];
+  jt[0] = to_jacobian(p);
+  const Jacobian twice = dbl(jt[0]);
+  for (int j = 1; j < kOddMultiples; ++j) jt[j] = add(jt[j - 1], twice);
+  batch_to_affine_mont(jt, out, kOddMultiples);
+}
+
+U256 P256::inv_p(const U256& a_mont) const {
+  // a^(p-2) along the chain below; x_k denotes a^(2^k - 1).
+  const auto sqr_n = [this](U256 v, int n) {
+    for (int i = 0; i < n; ++i) v = fp_.sqr(v);
+    return v;
+  };
+  const U256& a = a_mont;
+  const U256 x2 = fp_.mul(fp_.sqr(a), a);
+  const U256 x3 = fp_.mul(fp_.sqr(x2), a);
+  const U256 x6 = fp_.mul(sqr_n(x3, 3), x3);
+  const U256 x12 = fp_.mul(sqr_n(x6, 6), x6);
+  const U256 x15 = fp_.mul(sqr_n(x12, 3), x3);
+  const U256 x16 = fp_.mul(fp_.sqr(x15), a);
+  const U256 x32 = fp_.mul(sqr_n(x16, 16), x16);
+  const U256 x32_shl15 = sqr_n(x32, 15);
+  const U256 x47 = fp_.mul(x32_shl15, x15);
+  // p - 2 = ((((2^32-1)*2^32 + 1)*2^143 + x47)*2^47 + x47)*2^2 + 1, with the
+  // x47 terms standing for 2^47 - 1:
+  //   ffffffff 00000001 00000000 00000000 00000000 ffffffff ffffffff fffffffd
+  U256 t = fp_.mul(sqr_n(x32_shl15, 17), a);  // exponent ffffffff00000001
+  t = fp_.mul(sqr_n(t, 143), x47);
+  t = fp_.mul(sqr_n(t, 47), x47);
+  return fp_.mul(sqr_n(t, 2), a);
 }
 
 P256::Jacobian P256::mul_impl(const U256& k, const Jacobian& p) const {
@@ -524,27 +583,58 @@ AffinePoint P256::mul(const U256& k, const AffinePoint& p) const {
 #endif
 }
 
+P256::Jacobian P256::mul_add_ladder(const U256& u1, const U256& u2,
+                                    const AffinePoint& q) const {
+  // Strauss-Shamir over width-5 wNAF digits: one shared chain of doublings,
+  // on average one mixed addition per six bits of each scalar. The inputs
+  // are public, so digits steer branches and index the tables directly.
+  AffineMont table_q[kOddMultiples];
+  if (!q.infinity) build_odd_table(q, table_q);
+  const Wnaf5 d1 = wnaf5(u1);
+  const Wnaf5 d2 = q.infinity ? Wnaf5{} : wnaf5(u2);
+  const auto& row_g = base_table_[0];  // row 0 holds {1..15} * G
+  const auto add_digit = [this](Jacobian& acc, int d, const AffineMont& odd_multiple) {
+    acc = add_mixed(acc, d > 0 ? odd_multiple
+                               : AffineMont{odd_multiple.x, fp_.sub(U256{}, odd_multiple.y)});
+  };
+  int top = static_cast<int>(d1.size()) - 1;
+  while (top >= 0 && d1[static_cast<std::size_t>(top)] == 0 &&
+         d2[static_cast<std::size_t>(top)] == 0)
+    --top;
+  Jacobian acc{};  // infinity
+  for (int i = top; i >= 0; --i) {
+    if (i != top) acc = dbl(acc);
+    const int dg = d1[static_cast<std::size_t>(i)];
+    const int dq = d2[static_cast<std::size_t>(i)];
+    if (dg != 0) add_digit(acc, dg, row_g[static_cast<std::size_t>(std::abs(dg) - 1)]);
+    if (dq != 0) add_digit(acc, dq, table_q[(std::abs(dq) - 1) / 2]);
+  }
+  return acc;
+}
+
 AffinePoint P256::mul_add(const U256& u1, const U256& u2, const AffinePoint& q) const {
 #ifdef MBTLS_REFERENCE_CRYPTO
   return mul_add_reference(u1, u2, q);
 #else
-  // Shamir/Strauss interleaving: both scalars share one chain of doublings,
-  // with up to two mixed additions per window. ECDSA verification inputs are
-  // public, so plain indexed table lookups are fine here.
-  AffineMont table_q[kTableSize];
-  build_window_table(q, table_q);
-  const auto& table_g = base_table_[0];  // row 0 holds {1..15} * G
-  Jacobian acc{};                        // infinity
-  for (int i = kWindows - 1; i >= 0; --i) {
-    if (i != kWindows - 1) {
-      for (int d = 0; d < kWindowBits; ++d) acc = dbl(acc);
-    }
-    const std::uint32_t d1 = window4(u1, i);
-    if (d1 != 0) acc = add_mixed(acc, table_g[d1 - 1]);
-    const std::uint32_t d2 = window4(u2, i);
-    if (d2 != 0) acc = add_mixed(acc, table_q[d2 - 1]);
-  }
-  return to_affine(acc);
+  return to_affine(mul_add_ladder(u1, u2, q));
+#endif
+}
+
+bool P256::mul_add_x_equals(const U256& u1, const U256& u2, const AffinePoint& q,
+                            const U256& r) const {
+#ifdef MBTLS_REFERENCE_CRYPTO
+  const AffinePoint sum = mul_add_reference(u1, u2, q);
+  return !sum.infinity && fn_.reduce_once(sum.x) == r;
+#else
+  // x = X/Z^2 lies in [0, p) and p < 2n, so x mod n == r means x == r or
+  // x == r + n, the latter only possible when r + n < p.
+  const Jacobian sum = mul_add_ladder(u1, u2, q);
+  if (sum.z.is_zero()) return false;
+  const U256 z2 = fp_.sqr(sum.z);
+  if (fp_.mul(fp_.to_mont(r), z2) == sum.x) return true;
+  U256 r_plus_n;
+  if (raw_add(r_plus_n, r, n_) != 0 || raw_cmp(r_plus_n, fp_.modulus()) >= 0) return false;
+  return fp_.mul(fp_.to_mont(r_plus_n), z2) == sum.x;
 #endif
 }
 
@@ -555,7 +645,8 @@ bool P256::on_curve(const AffinePoint& p) const {
   const U256 y = fp_.to_mont(p.y);
   const U256 y2 = fp_.sqr(y);
   const U256 x3 = fp_.mul(fp_.sqr(x), x);
-  const U256 rhs = fp_.add(fp_.sub(x3, fp_.mul(three_mont_, x)), b_mont_);
+  const U256 three_x = fp_.add(fp_.add(x, x), x);
+  const U256 rhs = fp_.add(fp_.sub(x3, three_x), b_mont_);
   return y2 == rhs;
 }
 

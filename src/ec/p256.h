@@ -10,16 +10,40 @@
 // why it gets a dedicated implementation instead of the generic BigInt.
 //
 // Two implementations coexist:
-//  * the fast path — fixed-window (w=4) scalar multiplication. `mul_base`
-//    uses a precomputed 64x15 comb table of generator multiples (public
-//    constants); `mul` builds a per-call 15-entry table of the input point.
-//    Secret-scalar paths select window entries with a constant-time scan over
-//    the whole table (see `ct_select_window`), never by secret index.
-//    `mul_add` (ECDSA verify — public scalars) interleaves both scalars over
-//    shared doublings with plain indexed lookups.
+//  * the fast path:
+//    - `mul_base` (secret scalar): a precomputed 64x15 comb table of
+//      generator multiples (public constants), one mixed addition per 4-bit
+//      window and no doublings;
+//    - `mul` (secret scalar): a fixed w=4 window over a per-call 15-entry
+//      table of the input point;
+//    - `mul_add` and `mul_add_x_equals` (ECDSA verify, public scalars): one
+//      interleaved width-5 wNAF ladder. Both scalars share a single chain of
+//      doublings; G's odd multiples 1G..15G come from the comb table's first
+//      row and Q's from a per-call 8-entry table (1Q, 3Q, ..., 15Q), a
+//      negative digit adding the negated entry. `mul_add` converts the
+//      result with `to_affine`; `mul_add_x_equals` never leaves Jacobian
+//      coordinates: x(R) mod n == r holds iff X == r*Z^2 or, when r + n < p,
+//      X == (r+n)*Z^2, so ECDSA verification needs no field inversion.
+//    Field inversion mod p (`inv_p`, used by `to_affine` and the batched
+//    table conversion) is a fixed addition chain for p - 2: 255 squarings
+//    and 12 multiplications, where Fermat's square-and-multiply needs about
+//    128 multiplications. The chain is the same for every input, which
+//    matters because `to_affine` also runs on secret-derived points (ECDH).
+//    Inversion mod n stays Fermat (`Mont::inv`).
 //  * the reference path — the original double-and-add ladder, kept as the
 //    differential-test oracle (`*_reference`). Building with
 //    -DMBTLS_REFERENCE_CRYPTO routes the public API back to it.
+//
+// Timing: the secret-scalar paths (`mul`, `mul_base`, hence ECDH and ECDSA
+// signing) select window entries with a constant-time scan over the whole
+// table (see `ct_select_window`), never by secret index, and their additions
+// resolve the degenerate cases with masked moves. The wNAF ladder branches
+// on its digits and indexes its tables with them, and the wNAF recoding
+// loops over the scalar's bits: it is variable-time, which is safe only
+// because every input it sees in ECDSA verification (u1, u2, Q, r) is
+// public. No secret scalar may reach `mul_add`, `mul_add_x_equals` or
+// `wnaf5`. The field layer itself (`Mont`) still branches on its final
+// subtractions for every caller (ROADMAP: constant-time field).
 #pragma once
 
 #include <array>
@@ -75,6 +99,14 @@ class Mont {
   U256 one_;
 };
 
+/// Width-5 non-adjacent form of a 256-bit scalar, least significant digit
+/// first: k = sum(d[i] * 2^i), every non-zero digit odd with |d| < 16, and
+/// each non-zero digit followed by at least four zero digits. 257 digits
+/// cover any 256-bit k (a negative digit can carry one bit past the top).
+/// Variable-time: public scalars only.
+using Wnaf5 = std::array<std::int8_t, 257>;
+Wnaf5 wnaf5(const U256& k);
+
 /// Affine point; infinity encoded by `infinity == true`.
 struct AffinePoint {
   U256 x, y;
@@ -101,8 +133,16 @@ class P256 {
   AffinePoint mul_base(const U256& k) const;
   /// Scalar multiplication k*P.
   AffinePoint mul(const U256& k, const AffinePoint& p) const;
-  /// u1*G + u2*Q (for ECDSA verification; u1/u2 are public).
+  /// u1*G + u2*Q (u1, u2 and Q public: variable time).
   AffinePoint mul_add(const U256& u1, const U256& u2, const AffinePoint& q) const;
+  /// ECDSA's final check: is u1*G + u2*Q finite with affine x mod n == r?
+  /// Same ladder as `mul_add`, without the inversion. `r` must be in [0, n).
+  bool mul_add_x_equals(const U256& u1, const U256& u2, const AffinePoint& q,
+                        const U256& r) const;
+
+  /// a^-1 mod p for a Montgomery-domain `a_mont` (0 maps to 0), by the fixed
+  /// addition chain described at the top of this file.
+  U256 inv_p(const U256& a_mont) const;
 
   // Reference (double-and-add ladder) implementations: the differential-test
   // oracle and the bench baseline. Always compiled; `mul_base` etc. dispatch
@@ -139,6 +179,7 @@ class P256 {
   static constexpr int kWindowBits = 4;
   static constexpr int kWindows = 256 / kWindowBits;       // 64
   static constexpr int kTableSize = (1 << kWindowBits) - 1;  // 15 (idx 0 = skip)
+  static constexpr int kOddMultiples = 8;                    // 1Q, 3Q, ..., 15Q
 
   Jacobian to_jacobian(const AffinePoint& p) const;
   AffinePoint to_affine(const Jacobian& p) const;
@@ -147,14 +188,15 @@ class P256 {
   Jacobian add_mixed(const Jacobian& p, const AffineMont& q) const;
   Jacobian add_mixed_ct(const Jacobian& p, const AffineMont& q, std::uint64_t valid_mask) const;
   Jacobian mul_impl(const U256& k, const Jacobian& p) const;
+  Jacobian mul_add_ladder(const U256& u1, const U256& u2, const AffinePoint& q) const;
   void build_window_table(const AffinePoint& p, AffineMont out[kTableSize]) const;
+  void build_odd_table(const AffinePoint& p, AffineMont out[kOddMultiples]) const;
   void batch_to_affine_mont(const Jacobian* in, AffineMont* out, std::size_t count) const;
 
   Mont fp_;
   Mont fn_;
   U256 n_;
   U256 b_mont_;        // curve b in Montgomery form
-  U256 three_mont_;    // 3 in Montgomery form (a = -3)
   AffinePoint g_;
   // Comb table of generator multiples: base_table_[i][j-1] = j * 16^i * G for
   // i in [0,64), j in [1,16). Public curve constants only (derived from G), so

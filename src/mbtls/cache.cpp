@@ -1,5 +1,7 @@
 #include "mbtls/cache.h"
 
+#include <algorithm>
+
 #include "crypto/sha2.h"
 #include "sgx/attestation.h"
 
@@ -160,15 +162,19 @@ CertPool::CertPool(std::size_t shards) {
   for (std::size_t i = 0; i < n; ++i) shards_.push_back(std::make_unique<Shard>());
 }
 
+CertPool::Shard& CertPool::shard_for(ByteView digest) const {
+  return *shards_[fnv1a(digest) & (shards_.size() - 1)];
+}
+
 std::shared_ptr<const x509::Certificate> CertPool::intern(ByteView der) {
   const Bytes digest = crypto::Sha256::digest(der);
-  Shard& shard = *shards_[fnv1a(digest) & (shards_.size() - 1)];
+  Shard& shard = shard_for(digest);
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.by_digest.find(digest);
     if (it != shard.by_digest.end()) {
       hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
+      return it->second.cert;
     }
   }
   // Parse outside the lock: a miss costs a full DER parse + key decode, and
@@ -176,13 +182,47 @@ std::shared_ptr<const x509::Certificate> CertPool::intern(ByteView der) {
   // lands on this shard. A racing double-parse publishes once (first wins).
   auto parsed = std::make_shared<const x509::Certificate>(x509::Certificate::parse(der));
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto [it, inserted] = shard.by_digest.emplace(digest, std::move(parsed));
+  auto [it, inserted] = shard.by_digest.emplace(digest, Entry{std::move(parsed), {}});
   if (!inserted) {
     hits_.fetch_add(1, std::memory_order_relaxed);
-    return it->second;
+    return it->second.cert;
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
-  return it->second;
+  return it->second.cert;
+}
+
+bool CertPool::verify_signature(const x509::Certificate& cert,
+                                const x509::PublicKey& issuer_key) {
+  const Bytes digest = crypto::Sha256::digest(cert.der());
+  const Bytes issuer_spki = issuer_key.spki_der();
+  const auto same_issuer = [&](const std::pair<Bytes, bool>& verdict) {
+    return verdict.first == issuer_spki;
+  };
+  Shard& shard = shard_for(digest);
+  {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    auto it = shard.by_digest.find(digest);
+    if (it != shard.by_digest.end()) {
+      const auto& verdicts = it->second.verdicts;
+      const auto v = std::find_if(verdicts.begin(), verdicts.end(), same_issuer);
+      if (v != verdicts.end()) {
+        sig_hits_.fetch_add(1, std::memory_order_relaxed);
+        return v->second;
+      }
+    }
+  }
+  // The signature verification runs outside the lock, like intern()'s
+  // parse; racing first checks of one pair both verify and agree.
+  const bool valid = cert.verify_signature(issuer_key);
+  sig_misses_.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto it = shard.by_digest.find(digest);
+  if (it == shard.by_digest.end()) return valid;  // not pooled: nothing to remember
+  auto& verdicts = it->second.verdicts;
+  if (std::any_of(verdicts.begin(), verdicts.end(), same_issuer)) return valid;
+  if (verdicts.size() == kVerdictsPerCert) verdicts.erase(verdicts.begin());
+  verdicts.emplace_back(issuer_spki, valid);
+  return valid;
 }
 
 std::size_t CertPool::size() const {
@@ -199,7 +239,7 @@ std::size_t CertPool::purge_unused() {
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     for (auto it = shard->by_digest.begin(); it != shard->by_digest.end();) {
-      if (it->second.use_count() == 1) {
+      if (it->second.cert.use_count() == 1) {
         it = shard->by_digest.erase(it);
         ++purged;
       } else {
@@ -220,6 +260,11 @@ void CertPool::clear() {
 CacheStats CertPool::stats() const {
   return {hits_.load(std::memory_order_relaxed), misses_.load(std::memory_order_relaxed),
           0, 0};
+}
+
+CacheStats CertPool::signature_stats() const {
+  return {sig_hits_.load(std::memory_order_relaxed),
+          sig_misses_.load(std::memory_order_relaxed), 0, 0};
 }
 
 // ---------------------------------------------------------- QuoteVerifyCache
@@ -252,8 +297,14 @@ bool QuoteVerifyCache::verify(ByteView measurement, ByteView report_data,
   // ECDSA verification outside the lock (it dominates the cost).
   const bool ok = sgx::verify_quote(measurement, report_data, signature);
   std::lock_guard<std::mutex> lock(shard.mu);
-  shard.verdicts.emplace(digest, ok);
   misses_.fetch_add(1, std::memory_order_relaxed);
+  if (!shard.verdicts.emplace(digest, ok).second) return ok;
+  shard.order.push_back(digest);
+  if (shard.order.size() > kCapacityPerShard) {
+    shard.verdicts.erase(shard.order.front());
+    shard.order.pop_front();
+    evictions_.fetch_add(1, std::memory_order_relaxed);
+  }
   return ok;
 }
 
@@ -270,12 +321,13 @@ void QuoteVerifyCache::clear() {
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     shard->verdicts.clear();
+    shard->order.clear();
   }
 }
 
 CacheStats QuoteVerifyCache::stats() const {
   return {hits_.load(std::memory_order_relaxed), misses_.load(std::memory_order_relaxed),
-          0, 0};
+          0, evictions_.load(std::memory_order_relaxed)};
 }
 
 }  // namespace mbtls::mb

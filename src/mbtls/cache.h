@@ -11,13 +11,17 @@
 //  * CertPool — a deduplicating pool of parsed certificates keyed by the
 //    SHA-256 of the DER. A fleet of sessions to the same 500 origins parses
 //    each distinct certificate once; every other handshake gets a
-//    refcounted pointer to the shared parse.
+//    refcounted pointer to the shared parse. Each pooled certificate also
+//    remembers its signature verdict per issuer key, so its signature is
+//    verified once, not once per handshake.
 //  * QuoteVerifyCache — memoized sgx::verify_quote keyed by measurement
 //    (Knauth et al.: attestation evidence is reused across connections, so
-//    its ECDSA verification is a per-quote cost, not a per-handshake one).
+//    its ECDSA verification is a per-quote cost, not a per-handshake one),
+//    bounded per shard.
 #pragma once
 
 #include <atomic>
+#include <deque>
 #include <list>
 #include <map>
 #include <memory>
@@ -107,36 +111,64 @@ class ShardedSessionCache : public tls::SessionCache {
 /// intern() either returns the existing shared parse (refcounted — entries
 /// stay alive while any session still points at them) or parses and
 /// publishes a new one. Throws DecodeError exactly like Certificate::parse.
+///
+/// verify_signature() memoizes Certificate::verify_signature per pooled
+/// entry, keyed on the entry's DER digest plus the issuer key's SPKI DER.
+/// The verdict is a pure function of those two (the DER fixes the signed
+/// bytes, the algorithm and the signature), so both verdicts are kept; a
+/// different issuer key under the same name is a different key and is
+/// verified afresh. Everything else about a chain (dates, hostname, CA
+/// flag, issuer names) is the caller's per-handshake work.
 class CertPool : public tls::CertIntern {
  public:
   explicit CertPool(std::size_t shards = 16);
 
   std::shared_ptr<const x509::Certificate> intern(ByteView der) override;
+  bool verify_signature(const x509::Certificate& cert,
+                        const x509::PublicKey& issuer_key) override;
 
   /// Number of distinct certificates currently pooled.
   std::size_t size() const;
   /// Drop entries no session references anymore; returns how many died.
   std::size_t purge_unused();
   void clear();
+  /// intern() hits (shared parse) and misses (fresh parse).
   CacheStats stats() const;
+  /// verify_signature() hits (memoized verdict) and misses (a real
+  /// signature verification).
+  CacheStats signature_stats() const;
 
  private:
+  /// Issuer keys remembered per certificate. A certificate has one real
+  /// issuer; the cap only bounds a peer presenting one leaf under many
+  /// forged intermediates.
+  static constexpr std::size_t kVerdictsPerCert = 4;
+  struct Entry {
+    std::shared_ptr<const x509::Certificate> cert;
+    std::vector<std::pair<Bytes, bool>> verdicts;  // issuer SPKI DER, valid?
+  };
   struct Shard {
     mutable std::mutex mu;
-    std::map<Bytes, std::shared_ptr<const x509::Certificate>> by_digest;
+    std::map<Bytes, Entry> by_digest;
   };
 
+  Shard& shard_for(ByteView digest) const;
+
   std::vector<std::unique_ptr<Shard>> shards_;
-  mutable std::atomic<std::uint64_t> hits_{0}, misses_{0};
+  mutable std::atomic<std::uint64_t> hits_{0}, misses_{0}, sig_hits_{0}, sig_misses_{0};
 };
 
 /// Memoized attestation-quote verification, sharded by measurement. Both
 /// verdicts are cached: verify_quote is a pure function of
 /// (measurement, report_data, signature), so a cached false is as sound as
 /// a cached true — and it stops a flood of replayed-garbage quotes from
-/// burning an ECDSA verification each.
+/// burning an ECDSA verification each. A quote bound to a fresh handshake
+/// transcript can never hit again, so each shard keeps at most
+/// kCapacityPerShard verdicts and evicts the oldest beyond that.
 class QuoteVerifyCache : public tls::QuoteVerifier {
  public:
+  static constexpr std::size_t kCapacityPerShard = 256;
+
   explicit QuoteVerifyCache(std::size_t shards = 16);
 
   bool verify(ByteView measurement, ByteView report_data, ByteView signature) override;
@@ -149,10 +181,11 @@ class QuoteVerifyCache : public tls::QuoteVerifier {
   struct Shard {
     mutable std::mutex mu;
     std::map<Bytes, bool> verdicts;  // SHA-256(meas || rd || sig) -> verdict
+    std::deque<Bytes> order;         // the same keys, oldest first
   };
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  mutable std::atomic<std::uint64_t> hits_{0}, misses_{0};
+  mutable std::atomic<std::uint64_t> hits_{0}, misses_{0}, evictions_{0};
 };
 
 }  // namespace mbtls::mb

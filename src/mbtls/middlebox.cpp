@@ -23,6 +23,20 @@ tls::Record parse_record(const Bytes& raw) {
   return rec;
 }
 
+/// The ClientHello `record` carries, or nullopt when it carries anything
+/// else or does not parse.
+std::optional<tls::ClientHello> parse_client_hello(const tls::Record& record) {
+  try {
+    tls::HandshakeReassembler reasm;
+    reasm.feed(record.payload);
+    const auto msg = reasm.next();
+    if (!msg || msg->type != tls::HandshakeType::kClientHello) return std::nullopt;
+    return tls::ClientHello::parse(msg->body);
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+}
+
 std::optional<tls::HandshakeType> first_handshake_type(tls::ContentType type, ByteView body) {
   if (type != tls::ContentType::kHandshake || body.empty()) return std::nullopt;
   return static_cast<tls::HandshakeType>(body[0]);
@@ -41,38 +55,45 @@ sgx::MemoryStore* Middlebox::key_store() {
 }
 
 void Middlebox::feed(bool client_to_server, ByteView data) {
-  // A middlebox must never take a session down because *it* failed to make
-  // sense of the stream: on any parse error it becomes a transparent relay
-  // and forwards the bytes (the endpoints' own MACs and state machines
-  // remain the arbiters of validity).
   tls::RecordReader& reader = client_to_server ? down_reader_ : up_reader_;
-  try {
+  if (mode_ != Mode::kRelay) {
     reader.feed(data);
-    while (reader.take_raw_into(raw_scratch_)) handle_record(client_to_server, raw_scratch_);
-  } catch (const std::exception&) {
-    demote_to_relay(client_to_server ? "downstream parse error" : "upstream parse error");
-    append(onward(client_to_server), data);
+    // A middlebox must never take a session down because *it* failed to
+    // make sense of the stream: on any parse error it becomes a transparent
+    // relay (the endpoints' own MACs and state machines remain the arbiters
+    // of validity).
+    try {
+      while (reader.take_raw_into(raw_scratch_)) handle_record(client_to_server, raw_scratch_);
+    } catch (const std::exception&) {
+      demote_to_relay(client_to_server ? "downstream parse error" : "upstream parse error");
+    }
+    if (mode_ != Mode::kRelay) return;
+    data = {};  // already in the reader
   }
+  // A relay frames nothing. Records already taken were forwarded; what the
+  // reader still holds (a partial record, or framing it rejected) goes
+  // onward once, ahead of the new bytes, and the reader stays empty.
+  Bytes& out = onward(client_to_server);
+  append(out, reader.pending());
+  reader.clear();
+  append(out, data);
 }
 
 // ------------------------------------------------------------- discovery
 
 void Middlebox::on_client_hello(const tls::Record& record, const Bytes& raw) {
   saw_client_hello_ = true;
-  tls::HandshakeReassembler reasm;
-  reasm.feed(record.payload);
-  const auto msg = reasm.next();
-  if (!msg || msg->type != tls::HandshakeType::kClientHello) {
+  const auto hello = parse_client_hello(record);
+  if (!hello) {
     demote_to_relay("malformed ClientHello");
     append(to_server_, raw);
     return;
   }
-  const tls::ClientHello hello = tls::ClientHello::parse(msg->body);
 
   if (options_.side == Side::kClientSide) {
     // Join only when the client advertises mbTLS support.
-    if (!hello.find_extension(tls::kExtMiddleboxSupport) || options_.peer_known_legacy) {
-      if (!hello.find_extension(tls::kExtMiddleboxSupport)) observed_legacy_peer_ = true;
+    if (!hello->find_extension(tls::kExtMiddleboxSupport) || options_.peer_known_legacy) {
+      if (!hello->find_extension(tls::kExtMiddleboxSupport)) observed_legacy_peer_ = true;
       demote_to_relay("legacy client");
       append(to_server_, raw);
       return;

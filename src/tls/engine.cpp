@@ -434,7 +434,16 @@ void Engine::handle_certificate(const HandshakeMsg& msg) {
 
   if (config_.verify_peer_certificate) {
     const x509::VerifyOptions opts{config_.now, config_.server_name};
-    const auto status = x509::verify_chain(chain, config_.trust_anchors, opts);
+    // Pooled certificates keep their signature verdicts: a chain seen
+    // before costs no ECDSA/RSA verify, only the per-handshake checks.
+    x509::SignatureCheck pooled_check;
+    if (config_.cert_pool) {
+      pooled_check = [pool = config_.cert_pool](const x509::Certificate& cert,
+                                                const x509::PublicKey& issuer_key) {
+        return pool->verify_signature(cert, issuer_key);
+      };
+    }
+    const auto status = x509::verify_chain(chain, config_.trust_anchors, opts, pooled_check);
     if (status != x509::VerifyStatus::kOk) {
       AlertDescription alert = AlertDescription::kBadCertificate;
       if (status == x509::VerifyStatus::kExpired) alert = AlertDescription::kCertificateExpired;
@@ -478,13 +487,8 @@ void Engine::handle_sgx_attestation(const HandshakeMsg& msg) {
   const SgxAttestationMsg att = SgxAttestationMsg::parse(msg.body);
   const auto quote = sgx::Enclave::QuoteData::decode(att.quote);
   if (!quote) throw ProtocolError(AlertDescription::kDecodeError, "malformed attestation quote");
-  const bool quote_ok =
-      config_.quote_verifier
-          ? config_.quote_verifier->verify(quote->measurement, quote->report_data,
-                                           quote->signature)
-          : sgx::verify_quote(quote->measurement, quote->report_data, quote->signature);
-  if (!quote_ok)
-    throw ProtocolError(AlertDescription::kDecryptError, "attestation signature invalid");
+  // The cheap public checks run before the signature, so a replayed or
+  // foreign quote costs no ECDSA verification and no verdict-cache entry.
   // Freshness: the quote must bind this handshake's transcript (through the
   // ServerKeyExchange) — a replayed quote from another handshake fails here.
   Bytes expected_rd = attestation_binding_hash_;
@@ -494,6 +498,13 @@ void Engine::handle_sgx_attestation(const HandshakeMsg& msg) {
   if (!config_.expected_measurement.empty() &&
       !equal(quote->measurement, config_.expected_measurement))
     throw ProtocolError(AlertDescription::kBadCertificate, "unexpected enclave measurement");
+  const bool quote_ok =
+      config_.quote_verifier
+          ? config_.quote_verifier->verify(quote->measurement, quote->report_data,
+                                           quote->signature)
+          : sgx::verify_quote(quote->measurement, quote->report_data, quote->signature);
+  if (!quote_ok)
+    throw ProtocolError(AlertDescription::kDecryptError, "attestation signature invalid");
   peer_attested_ = true;
   peer_measurement_ = quote->measurement;
 }

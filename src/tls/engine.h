@@ -42,11 +42,17 @@ class TicketKeyManager;
 
 /// Dedup pool for parsed certificates (implemented by mb::CertPool): the
 /// engine interns each DER blob instead of re-parsing it, so a fleet of
-/// sessions seeing the same chains shares one parsed copy per certificate.
+/// sessions seeing the same chains shares one parsed copy per certificate,
+/// and checks the chain's signatures through the pool, so a certificate's
+/// signature under a given issuer key is verified once, not per handshake.
 class CertIntern {
  public:
   virtual ~CertIntern() = default;
   virtual std::shared_ptr<const x509::Certificate> intern(ByteView der) = 0;
+  /// `cert.verify_signature(issuer_key)`, answered from a memo when `cert`
+  /// is pooled and this issuer key was checked against it before.
+  virtual bool verify_signature(const x509::Certificate& cert,
+                                const x509::PublicKey& issuer_key) = 0;
 };
 
 /// Attestation-quote verification hook (implemented by mb::QuoteVerifyCache):

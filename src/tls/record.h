@@ -93,6 +93,15 @@ class RecordReader {
   /// drains records through one reused scratch buffer with this.
   bool take_raw_into(Bytes& raw);
 
+  /// Bytes fed but not yet taken as records: a partial record, or framing
+  /// that next()/take_raw_into() rejected. A reader that gives up on the
+  /// stream hands these on with `clear()`.
+  ByteView pending() const { return ByteView(buffer_).subspan(pos_); }
+  void clear() {
+    buffer_.clear();
+    pos_ = 0;
+  }
+
  private:
   std::optional<std::size_t> complete_record_size() const;
   void consume(std::size_t n);

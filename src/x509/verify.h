@@ -1,6 +1,7 @@
 // Certificate chain verification against a set of trust anchors.
 #pragma once
 
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -35,11 +36,21 @@ VerifyStatus verify_chain(std::span<const Certificate> chain,
                           std::span<const Certificate> trust_anchors,
                           const VerifyOptions& options);
 
+/// Does `cert` carry a valid signature under `issuer_key`? The hook lets a
+/// caller answer from a memo of earlier verdicts (mb::CertPool); the default
+/// is Certificate::verify_signature.
+using SignatureCheck =
+    std::function<bool(const Certificate& cert, const PublicKey& issuer_key)>;
+
 /// Pointer-chain overload for callers holding certificates by reference —
 /// the dedup cert pool hands out shared parsed certificates, which cannot
-/// form a contiguous Certificate array without copying.
+/// form a contiguous Certificate array without copying. Only the signature
+/// checks go through `check_signature` (empty = verify every signature);
+/// validity dates, hostname, CA flag and issuer names are checked on every
+/// call.
 VerifyStatus verify_chain(std::span<const Certificate* const> chain,
                           std::span<const Certificate> trust_anchors,
-                          const VerifyOptions& options);
+                          const VerifyOptions& options,
+                          const SignatureCheck& check_signature = {});
 
 }  // namespace mbtls::x509

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
+#include <span>
 #include <thread>
 
 #include "mbtls/cache.h"
@@ -16,6 +18,7 @@
 #include "sgx/attestation.h"
 #include "tests/tls_test_util.h"
 #include "tls/ticket.h"
+#include "x509/verify.h"
 
 namespace mbtls::mb {
 namespace {
@@ -228,6 +231,129 @@ TEST(CertPool, EngineHandshakesShareOneParse) {
   EXPECT_GE(st.hits, 1u);
 }
 
+// ------------------------------------------------- CertPool signature memo
+
+namespace {
+
+x509::VerifyOptions verify_at(std::int64_t now, std::string hostname) {
+  x509::VerifyOptions o;
+  o.now = now;
+  o.hostname = std::move(hostname);
+  return o;
+}
+
+/// verify_chain over pooled certificates with the pool's memo attached.
+x509::VerifyStatus verify_pooled(CertPool& pool,
+                                 const std::vector<std::shared_ptr<const x509::Certificate>>& chain,
+                                 std::span<const x509::Certificate> anchors,
+                                 const x509::VerifyOptions& opts) {
+  std::vector<const x509::Certificate*> ptrs;
+  for (const auto& c : chain) ptrs.push_back(c.get());
+  return x509::verify_chain(ptrs, anchors, opts,
+                            [&pool](const x509::Certificate& cert, const x509::PublicKey& key) {
+                              return pool.verify_signature(cert, key);
+                            });
+}
+
+}  // namespace
+
+TEST(CertPoolMemo, SecondVerifyOfPooledChainMakesNoSignatureCheck) {
+  CertPool pool(4);
+  const auto id = make_identity("memo.example");
+  const std::vector<x509::Certificate> anchors = {test_ca().root()};
+  const auto opts = verify_at(1500000000, "memo.example");
+  const std::vector<std::shared_ptr<const x509::Certificate>> chain = {
+      pool.intern(id.chain[0].der())};
+
+  EXPECT_EQ(verify_pooled(pool, chain, anchors, opts), x509::VerifyStatus::kOk);
+  EXPECT_EQ(pool.signature_stats().misses, 1u);  // the one real verification
+  EXPECT_EQ(pool.signature_stats().hits, 0u);
+  // A later handshake re-interns the same DER and verifies again: memo hit.
+  const std::vector<std::shared_ptr<const x509::Certificate>> again = {
+      pool.intern(id.chain[0].der())};
+  EXPECT_EQ(verify_pooled(pool, again, anchors, opts), x509::VerifyStatus::kOk);
+  EXPECT_EQ(pool.signature_stats().misses, 1u);
+  EXPECT_EQ(pool.signature_stats().hits, 1u);
+  // The memo is not the intern counter: cert_pool hit rate is unchanged.
+  EXPECT_EQ(pool.stats().hits, 1u);
+  EXPECT_EQ(pool.stats().misses, 1u);
+  // Without the hook, the same pointers are verified for real.
+  std::vector<const x509::Certificate*> ptrs = {again[0].get()};
+  EXPECT_EQ(x509::verify_chain(ptrs, anchors, opts), x509::VerifyStatus::kOk);
+  EXPECT_EQ(pool.signature_stats().misses, 1u);
+}
+
+TEST(CertPoolMemo, SameNameAnchorWithAnotherKeyStillFails) {
+  // A memoized "valid" verdict belongs to the real CA key: an anchor with
+  // the same CN and a different key is verified afresh and rejected.
+  CertPool pool(4);
+  const auto id = make_identity("rogue-anchor.example");
+  const auto opts = verify_at(1500000000, "rogue-anchor.example");
+  const std::vector<std::shared_ptr<const x509::Certificate>> chain = {
+      pool.intern(id.chain[0].der())};
+  const std::vector<x509::Certificate> real = {test_ca().root()};
+  EXPECT_EQ(verify_pooled(pool, chain, real, opts), x509::VerifyStatus::kOk);
+  EXPECT_EQ(verify_pooled(pool, chain, real, opts), x509::VerifyStatus::kOk);  // memo hit
+
+  crypto::Drbg rng("rogue-anchor", 1);
+  const auto rogue_ca = x509::CertificateAuthority::create(test_ca().name(),
+                                                           x509::KeyType::kEcdsaP256, rng);
+  ASSERT_EQ(rogue_ca.root().info().subject_cn, test_ca().root().info().subject_cn);
+  const std::vector<x509::Certificate> rogue = {rogue_ca.root()};
+  const auto misses = pool.signature_stats().misses;
+  EXPECT_EQ(verify_pooled(pool, chain, rogue, opts), x509::VerifyStatus::kBadSignature);
+  EXPECT_EQ(pool.signature_stats().misses, misses + 1);  // a real check under the rogue key
+  EXPECT_EQ(verify_pooled(pool, chain, rogue, opts), x509::VerifyStatus::kBadSignature);
+  EXPECT_EQ(verify_pooled(pool, chain, real, opts), x509::VerifyStatus::kOk);
+}
+
+TEST(CertPoolMemo, PerHandshakeChecksStillRunAfterAMemoHit) {
+  // Only the signature is memoized: dates and hostname are checked on
+  // every verification.
+  CertPool pool(4);
+  const auto id = make_identity("dated.example");
+  const std::vector<x509::Certificate> anchors = {test_ca().root()};
+  const std::vector<std::shared_ptr<const x509::Certificate>> chain = {
+      pool.intern(id.chain[0].der())};
+  EXPECT_EQ(verify_pooled(pool, chain, anchors, verify_at(1500000000, "dated.example")),
+            x509::VerifyStatus::kOk);
+  EXPECT_EQ(verify_pooled(pool, chain, anchors, verify_at(1500000000, "dated.example")),
+            x509::VerifyStatus::kOk);
+  ASSERT_EQ(pool.signature_stats().hits, 1u);
+  const std::int64_t after_expiry = chain[0]->info().not_after + 1;
+  EXPECT_EQ(verify_pooled(pool, chain, anchors, verify_at(after_expiry, "dated.example")),
+            x509::VerifyStatus::kExpired);
+  EXPECT_EQ(verify_pooled(pool, chain, anchors, verify_at(1500000000, "other.example")),
+            x509::VerifyStatus::kHostnameMismatch);
+}
+
+TEST(CertPoolMemo, EngineHandshakesVerifyTheLeafOnce) {
+  // Two full handshakes against one origin through a pooled client: the
+  // leaf's signature under the CA key is verified in the first only.
+  const auto id = make_identity("verify-once.example");
+  CertPool pool(4);
+  for (const std::uint64_t seed : {41u, 51u}) {
+    tls::Config ccfg;
+    ccfg.is_client = true;
+    ccfg.trust_anchors = {test_ca().root()};
+    ccfg.server_name = "verify-once.example";
+    ccfg.cert_pool = &pool;
+    ccfg.rng_seed = seed;
+    tls::Config scfg;
+    scfg.is_client = false;
+    scfg.private_key = id.key;
+    scfg.certificate_chain = id.chain;
+    scfg.rng_seed = seed + 1;
+    tls::Engine client(ccfg);
+    tls::Engine server(scfg);
+    client.start();
+    pump(client, server);
+    ASSERT_TRUE(client.handshake_done()) << client.error_message();
+  }
+  EXPECT_EQ(pool.signature_stats().misses, 1u);
+  EXPECT_EQ(pool.signature_stats().hits, 1u);
+}
+
 // ------------------------------------------------------- QuoteVerifyCache
 
 TEST(QuoteVerifyCache, MemoizesBothVerdicts) {
@@ -264,6 +390,67 @@ TEST(QuoteVerifyCache, DistinctReportDataAreDistinctEntries) {
   // though (meas, r1, sig) verified fine a moment ago.
   EXPECT_FALSE(cache.verify(meas, r2, sgx::attestation_service_sign(meas, r1)));
   EXPECT_EQ(cache.size(), 3u);
+}
+
+TEST(QuoteVerifyCache, CapacityBoundsDistinctQuotes) {
+  // Every full handshake's quote binds its own transcript, so verdicts that
+  // can never hit again arrive forever: the cache must stay bounded.
+  QuoteVerifyCache cache(1);  // one shard: kCapacityPerShard verdicts in all
+  const std::size_t capacity = QuoteVerifyCache::kCapacityPerShard;
+  const Bytes meas = crypto::Drbg("quote-cap", 4).bytes(32);
+  const Bytes garbage_sig(64, 0);  // r = s = 0: rejected before any ECDSA work
+  const std::size_t extra = 40;
+  for (std::size_t i = 0; i < capacity + extra; ++i) {
+    Bytes report(64, 0);
+    store_be64(report.data(), i);
+    EXPECT_FALSE(cache.verify(meas, report, garbage_sig));
+    EXPECT_LE(cache.size(), capacity);
+  }
+  EXPECT_EQ(cache.size(), capacity);
+  EXPECT_EQ(cache.stats().evictions, extra);
+  // The newest verdict is still held; the oldest was evicted.
+  Bytes newest(64, 0), oldest(64, 0);
+  store_be64(newest.data(), capacity + extra - 1);
+  const auto misses = cache.stats().misses;
+  EXPECT_FALSE(cache.verify(meas, newest, garbage_sig));
+  EXPECT_EQ(cache.stats().misses, misses);
+  EXPECT_FALSE(cache.verify(meas, oldest, garbage_sig));
+  EXPECT_EQ(cache.stats().misses, misses + 1);
+}
+
+TEST(QuoteVerifyCache, ForeignQuoteNeverReachesTheVerifier) {
+  // The engine checks the measurement (and the transcript binding) before
+  // the signature: a quote from the wrong enclave costs no verification
+  // and leaves no verdict behind.
+  sgx::Platform platform;
+  sgx::Enclave& evil = platform.launch("foreign-code-v9");
+  sgx::Enclave& good = platform.launch("expected-code-v1");
+  const auto id = make_identity("foreign-quote.example");
+  QuoteVerifyCache cache(4);
+  const auto attest = [&](sgx::Enclave& enclave) {
+    tls::Config ccfg;
+    ccfg.is_client = true;
+    ccfg.trust_anchors = {test_ca().root()};
+    ccfg.server_name = "foreign-quote.example";
+    ccfg.request_attestation = true;
+    ccfg.expected_measurement = sgx::measure("expected-code-v1");
+    ccfg.quote_verifier = &cache;
+    tls::Config scfg;
+    scfg.is_client = false;
+    scfg.private_key = id.key;
+    scfg.certificate_chain = id.chain;
+    scfg.enclave = &enclave;
+    tls::Engine client(ccfg);
+    tls::Engine server(scfg);
+    client.start();
+    pump(client, server);
+    return client.failed() ? std::optional(client.last_alert()) : std::nullopt;
+  };
+  EXPECT_EQ(attest(evil), tls::AlertDescription::kBadCertificate);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.stats().misses, 0u);
+  EXPECT_EQ(attest(good), std::nullopt);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 // ----------------------------------------------------- thread shard hammer
@@ -334,6 +521,39 @@ TEST(ControlPlaneConcurrency, ThreadsHammerEveryShard) {
   EXPECT_GE(certs.stats().hits, static_cast<std::uint64_t>(kJobs) - ders.size());
   EXPECT_EQ(quotes.size(), 1u);
   EXPECT_LE(sessions.size(), 8u * 16u);
+}
+
+TEST(CertPoolMemoConcurrency, ThreadsVerifyOnePooledChain) {
+  // Workers intern and verify one chain at once: the memo's verdict list is
+  // read and written under the shard lock (the TSan stage of
+  // scripts/check.sh runs this), and every verification succeeds.
+  CertPool pool(2);
+  const auto id = make_identity("hammer-memo.example");
+  const Bytes der = to_bytes(id.chain[0].der());
+  const std::vector<x509::Certificate> anchors = {test_ca().root()};
+  const auto opts = verify_at(1500000000, "hammer-memo.example");
+  const int workers =
+      std::max(2, std::min(4, static_cast<int>(std::thread::hardware_concurrency())));
+  constexpr int kPerWorker = 64;
+  std::atomic<int> ok{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < workers; ++w) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kPerWorker; ++i) {
+        const std::vector<std::shared_ptr<const x509::Certificate>> chain = {pool.intern(der)};
+        if (verify_pooled(pool, chain, anchors, opts) == x509::VerifyStatus::kOk)
+          ok.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  const int total = workers * kPerWorker;
+  EXPECT_EQ(ok.load(), total);
+  const auto st = pool.signature_stats();
+  EXPECT_EQ(st.hits + st.misses, static_cast<std::uint64_t>(total));
+  EXPECT_GE(st.misses, 1u);  // racing first checks may each verify
+  EXPECT_LE(st.misses, static_cast<std::uint64_t>(workers));
+  EXPECT_EQ(pool.size(), 1u);
 }
 
 // ---------------------------------------------------------------------------

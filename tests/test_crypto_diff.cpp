@@ -10,6 +10,7 @@
 #include "crypto/drbg.h"
 #include "crypto/gcm.h"
 #include "crypto/sha2.h"
+#include "ec/ecdsa.h"
 #include "ec/p256.h"
 #include "util/bytes.h"
 
@@ -98,6 +99,56 @@ TEST(CryptoDiff, P256MulAddMatchesReference) {
                         curve.mul_add_reference(scalars[i], scalars[j], q),
                         "mul_add u1 #" + std::to_string(i) + " u2 #" + std::to_string(j));
     }
+  }
+}
+
+TEST(CryptoDiff, P256MulAddAtInfinityMatchesReference) {
+  // Q at infinity: the ladder skips Q's digits and leaves u1*G.
+  const auto& curve = ec::P256::instance();
+  ec::AffinePoint infinity;
+  infinity.infinity = true;
+  for (const auto& u : edge_scalars()) {
+    expect_same_point(curve.mul_add(u, u256_from_u64(7), infinity),
+                      curve.mul_add_reference(u, u256_from_u64(7), infinity),
+                      "mul_add at infinity");
+  }
+}
+
+TEST(CryptoDiff, EcdsaVerifyMatchesReference) {
+  // The wNAF ladder with its inversion-free x check against the affine
+  // verification over mul_add_reference: valid signatures, wrong messages,
+  // tampered r or s, and every out-of-range scalar.
+  crypto::Drbg rng("diff-ecdsa-verify", 5);
+  const Bytes order = ec::P256::instance().order().to_bytes();
+  const auto check = [](const ec::AffinePoint& q, crypto::HashAlgo algo, ByteView msg,
+                        ByteView sig, const std::string& what) {
+    const bool fast = ec::ecdsa_verify(q, algo, msg, sig);
+    EXPECT_EQ(fast, ec::ecdsa_verify_reference(q, algo, msg, sig)) << what;
+    return fast;
+  };
+  for (int trial = 0; trial < 8; ++trial) {
+    const std::string tag = "trial " + std::to_string(trial);
+    const ec::EcdsaKeyPair key = ec::ecdsa_generate(rng);
+    const auto algo = trial % 2 == 0 ? crypto::HashAlgo::kSha256 : crypto::HashAlgo::kSha384;
+    const Bytes msg = rng.bytes(16 + static_cast<std::size_t>(trial) * 29);
+    const Bytes sig = ec::ecdsa_sign(key, algo, msg, rng);
+    EXPECT_TRUE(check(key.public_key, algo, msg, sig, tag + " valid"));
+    Bytes other = msg;
+    other[0] ^= 0x80;
+    EXPECT_FALSE(check(key.public_key, algo, other, sig, tag + " wrong message"));
+    for (const std::size_t at : {7u, 31u, 40u, 63u}) {
+      Bytes bad = sig;
+      bad[at] ^= 0x01;  // bytes 0..31 are r, 32..63 are s
+      EXPECT_FALSE(check(key.public_key, algo, msg, bad, tag + " tampered " + std::to_string(at)));
+    }
+    const Bytes r(sig.begin(), sig.begin() + 32), s(sig.begin() + 32, sig.end());
+    const Bytes zero(32, 0), ones(32, 0xff);
+    EXPECT_FALSE(check(key.public_key, algo, msg, concat({zero, s}), tag + " r = 0"));
+    EXPECT_FALSE(check(key.public_key, algo, msg, concat({r, zero}), tag + " s = 0"));
+    EXPECT_FALSE(check(key.public_key, algo, msg, concat({order, s}), tag + " r = n"));
+    EXPECT_FALSE(check(key.public_key, algo, msg, concat({ones, s}), tag + " r > n"));
+    EXPECT_FALSE(check(key.public_key, algo, msg, concat({r, order}), tag + " s = n"));
+    EXPECT_FALSE(check(key.public_key, algo, msg, concat({r, ones}), tag + " s > n"));
   }
 }
 

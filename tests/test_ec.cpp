@@ -3,6 +3,8 @@
 // the standard generator coordinates.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "ec/ecdh.h"
 #include "ec/ecdsa.h"
 #include "ec/p256.h"
@@ -169,6 +171,177 @@ TEST(Ecdsa, RejectsMalformedSignatures) {
   const auto msg = to_bytes(std::string_view("msg"));
   EXPECT_FALSE(ecdsa_verify(key.public_key, crypto::HashAlgo::kSha256, msg, Bytes(63, 1)));
   EXPECT_FALSE(ecdsa_verify(key.public_key, crypto::HashAlgo::kSha256, msg, Bytes(64, 0)));  // r=s=0
+}
+
+// ------------------------------------------------- wNAF verify ladder
+
+namespace {
+
+U256 order_minus_one() {
+  U256 k = curve().order();
+  k.w[0] -= 1;  // the order is odd: no borrow
+  return k;
+}
+
+/// k as the sum of its digits, recomputed over five limbs: positive and
+/// negative digits accumulated apart, then subtracted.
+U256 wnaf_value(const Wnaf5& digits, bool& overflow) {
+  std::uint64_t pos[5] = {}, neg[5] = {};
+  for (std::size_t i = 0; i < digits.size(); ++i) {
+    const int d = digits[i];
+    if (d == 0) continue;
+    std::uint64_t* acc = d > 0 ? pos : neg;
+    unsigned __int128 carry = static_cast<unsigned __int128>(static_cast<unsigned>(std::abs(d)))
+                              << (i % 64);
+    for (std::size_t limb = i / 64; limb < 5 && carry != 0; ++limb) {
+      const unsigned __int128 sum = static_cast<unsigned __int128>(acc[limb]) +
+                                    static_cast<std::uint64_t>(carry);
+      acc[limb] = static_cast<std::uint64_t>(sum);
+      carry = (carry >> 64) + (sum >> 64);
+    }
+  }
+  U256 out;
+  std::uint64_t borrow = 0;
+  std::uint64_t top = 0;
+  for (int limb = 0; limb < 5; ++limb) {
+    const unsigned __int128 diff = static_cast<unsigned __int128>(pos[limb]) - neg[limb] - borrow;
+    borrow = static_cast<std::uint64_t>(diff >> 64) & 1;
+    if (limb < 4) out.w[static_cast<std::size_t>(limb)] = static_cast<std::uint64_t>(diff);
+    else top = static_cast<std::uint64_t>(diff);
+  }
+  overflow = top != 0 || borrow != 0;
+  return out;
+}
+
+void expect_valid_wnaf(const U256& k, const std::string& what) {
+  const Wnaf5 digits = wnaf5(k);
+  for (std::size_t i = 0; i < digits.size(); ++i) {
+    const int d = digits[i];
+    if (d == 0) continue;
+    EXPECT_EQ(std::abs(d) % 2, 1) << what << " digit " << i;
+    EXPECT_LT(std::abs(d), 16) << what << " digit " << i;
+    for (std::size_t j = i + 1; j <= i + 4 && j < digits.size(); ++j)
+      EXPECT_EQ(digits[j], 0) << what << " digit " << j << " follows a non-zero digit";
+  }
+  bool overflow = false;
+  EXPECT_EQ(wnaf_value(digits, overflow), k) << what;
+  EXPECT_FALSE(overflow) << what;
+}
+
+/// A curve point whose x lies in [n, p): the only points for which
+/// x mod n != x, found by walking x up from n until x^3 - 3x + b is a
+/// square, with the square root a^((p+1)/4) (p = 3 mod 4).
+AffinePoint point_with_x_above_order() {
+  const Mont& fp = curve().field();
+  const AffinePoint& g = curve().generator();
+  const U256 gx = fp.to_mont(g.x), gy = fp.to_mont(g.y);
+  const auto rhs_of = [&](const U256& xm, const U256& b) {
+    return fp.add(fp.sub(fp.mul(fp.sqr(xm), xm), fp.add(fp.add(xm, xm), xm)), b);
+  };
+  // b = gy^2 - (gx^3 - 3gx)
+  const U256 b = fp.sub(fp.sqr(gy), rhs_of(gx, U256{}));
+  // (p + 1) / 4: p's low limb is all ones, so p + 1 carries into limb 1.
+  U256 e = fp.modulus();
+  e.w[0] = 0;
+  e.w[1] += 1;
+  for (int i = 0; i < 4; ++i) {
+    e.w[static_cast<std::size_t>(i)] >>= 2;
+    if (i < 3) e.w[static_cast<std::size_t>(i)] |= e.w[static_cast<std::size_t>(i + 1)] << 62;
+  }
+  U256 x = curve().order();
+  for (int tries = 0; tries < 256; ++tries, ++x.w[0]) {
+    const U256 rhs = rhs_of(fp.to_mont(x), b);
+    const U256 y = fp.exp(rhs, e);
+    if (fp.sqr(y) == rhs) return AffinePoint{x, fp.from_mont(y)};
+  }
+  ADD_FAILURE() << "no square found";
+  return {};
+}
+
+U256 sub_u256(const U256& a, const U256& b) {
+  U256 r;
+  unsigned __int128 borrow = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    const unsigned __int128 d = static_cast<unsigned __int128>(a.w[i]) - b.w[i] - borrow;
+    r.w[i] = static_cast<std::uint64_t>(d);
+    borrow = (d >> 64) & 1;
+  }
+  return r;
+}
+
+}  // namespace
+
+TEST(P256Wnaf, RecodingOfEdgeAndRandomScalars) {
+  U256 top_bit{};
+  top_bit.w[3] = std::uint64_t{1} << 63;
+  U256 all_ones;
+  all_ones.w.fill(~std::uint64_t{0});
+  expect_valid_wnaf(scalar(0), "0");
+  expect_valid_wnaf(scalar(1), "1");
+  expect_valid_wnaf(order_minus_one(), "n-1");
+  expect_valid_wnaf(top_bit, "2^255");
+  expect_valid_wnaf(all_ones, "2^256-1");
+  EXPECT_EQ(wnaf5(all_ones)[256], 1);  // the carry past bit 255
+  crypto::Drbg rng("wnaf-random", 0);
+  for (int i = 0; i < 64; ++i)
+    expect_valid_wnaf(U256::from_bytes(rng.bytes(32)), "random #" + std::to_string(i));
+}
+
+TEST(P256Wnaf, InversionChainInvertsAndMatchesFermat) {
+  const Mont& fp = curve().field();
+  crypto::Drbg rng("inv-p", 0);
+  for (int i = 0; i < 64; ++i) {
+    const U256 a = fp.to_mont(fp.reduce_once(U256::from_bytes(rng.bytes(32))));
+    if (a.is_zero()) continue;
+    const U256 inv = curve().inv_p(a);
+    EXPECT_EQ(fp.mul(inv, a), fp.one_mont()) << "a #" << i;
+    EXPECT_EQ(inv, fp.inv(a)) << "a #" << i;
+  }
+  EXPECT_TRUE(curve().inv_p(U256{}).is_zero());
+}
+
+TEST(P256Wnaf, XCheckTakesTheRPlusNBranch) {
+  // R = P with x(P) in [n, p): x mod n = x - n, so the check must accept
+  // r = x - n, which only X == (r+n)*Z^2 can match.
+  const AffinePoint p = point_with_x_above_order();
+  ASSERT_TRUE(curve().on_curve(p));
+  const U256 r = sub_u256(p.x, curve().order());
+  EXPECT_TRUE(curve().mul_add_x_equals(scalar(0), scalar(1), p, r));
+  // The same point reached through a full ladder (Z != 1): k * (k^-1 * P).
+  const Mont& fn = curve().scalar_field();
+  crypto::Drbg rng("r-plus-n", 0);
+  const U256 k = curve().random_scalar(rng);
+  const U256 k_inv = fn.from_mont(fn.inv(fn.to_mont(k)));
+  const AffinePoint q = curve().mul_reference(k_inv, p);
+  EXPECT_TRUE(curve().mul_add_x_equals(scalar(0), k, q, r));
+  U256 wrong = r;
+  wrong.w[0] ^= 1;
+  EXPECT_FALSE(curve().mul_add_x_equals(scalar(0), k, q, wrong));
+  EXPECT_FALSE(curve().mul_add_x_equals(scalar(1), k, q, r));  // G + P: another x
+}
+
+TEST(P256Wnaf, EcdsaVerifyAcceptsSignatureWhoseRWrapsPastN) {
+  // Build a public key Q so that u1*G + u2*Q lands on P (x(P) >= n) for a
+  // chosen (r, s, message): Q = u2^-1 * (P - u1*G).
+  const AffinePoint p = point_with_x_above_order();
+  const Mont& fn = curve().scalar_field();
+  const U256 r = sub_u256(p.x, curve().order());
+  const U256 s = scalar(0x5eed);
+  const Bytes msg = to_bytes(std::string_view("r wraps past n"));
+  const U256 z = fn.reduce_once(U256::from_bytes(crypto::hash(crypto::HashAlgo::kSha256, msg)));
+  const U256 w = fn.inv(fn.to_mont(s));
+  const U256 u1 = fn.mul(fn.to_mont(z), w);  // Montgomery domain
+  const U256 u2 = fn.mul(fn.to_mont(r), w);
+  const U256 u2_inv = fn.inv(u2);
+  const U256 g_coeff = fn.from_mont(fn.sub(U256{}, fn.mul(u1, u2_inv)));
+  const AffinePoint q = curve().mul_add_reference(g_coeff, fn.from_mont(u2_inv), p);
+  ASSERT_TRUE(curve().on_curve(q));
+  const Bytes sig = concat({r.to_bytes(), s.to_bytes()});
+  EXPECT_TRUE(ecdsa_verify(q, crypto::HashAlgo::kSha256, msg, sig));
+  EXPECT_TRUE(ecdsa_verify_reference(q, crypto::HashAlgo::kSha256, msg, sig));
+  Bytes other = msg;
+  other[0] ^= 1;
+  EXPECT_FALSE(ecdsa_verify(q, crypto::HashAlgo::kSha256, other, sig));
 }
 
 // Nonce derivation (RFC 6979 with §3.6 hedging): k depends on the key, the
