@@ -53,9 +53,9 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "mbtls/cache.h"
 #include "mbtls/transport.h"
 #include "net/posix/loop_group.h"
+#include "tls/cache.h"
 
 namespace mbtls::bench {
 namespace {
@@ -146,9 +146,9 @@ RowResult run_row(const RowConfig& cfg, const Identity& server_id, const Identit
   const int sessions = cfg.sessions;
 
   // The process-wide control plane every loop shares: mutex-striped caches
-  // built for exactly this many-loops-one-process shape (mbtls/cache.h).
-  ShardedSessionCache session_cache;
-  CertPool cert_pool;
+  // built for exactly this many-loops-one-process shape (tls/cache.h).
+  tls::SessionCache session_cache;
+  tls::CertPool cert_pool;
 
   std::atomic<bool> sending{false};
   std::atomic<int> established{0}, failed{0};

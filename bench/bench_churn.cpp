@@ -19,8 +19,8 @@
 #include <cstdlib>
 
 #include "bench/bench_common.h"
-#include "mbtls/cache.h"
 #include "sgx/attestation.h"
+#include "tls/cache.h"
 #include "tls/engine.h"
 #include "tls/ticket.h"
 
@@ -44,9 +44,9 @@ Identity make_origin(int index) {
 }
 
 struct ControlPlane {
-  mb::ShardedSessionCache sessions{{.shards = 16, .capacity_per_shard = 4096}};
-  mb::CertPool certs{16};
-  mb::QuoteVerifyCache quotes{16};
+  tls::SessionCache sessions{{.shards = 16, .capacity_per_shard = 4096}};
+  tls::CertPool certs{16};
+  tls::QuoteVerifyCache quotes{16};
   tls::TicketKeyManager ticket_keys{"churn-ticket-keys", 0};
 };
 
@@ -278,7 +278,7 @@ int main(int argc, char** argv) {
   // -------------------------------------------------------------------- JSON
   const std::string json_path = json_arg(argc, argv);
   if (!json_path.empty()) {
-    auto cache_json = [](const mb::CacheStats& st) {
+    auto cache_json = [](const tls::CacheStats& st) {
       return Json::object()
           .add("hits", static_cast<double>(st.hits))
           .add("misses", static_cast<double>(st.misses))

@@ -16,6 +16,7 @@
 // `--json PATH` writes the numbers machine-readably (BENCH_micro.json is the
 // committed perf-regression baseline; scripts/bench.sh refreshes it);
 // `--quick` shrinks the measurement budget for the bench_smoke ctest.
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <string>
@@ -33,28 +34,8 @@
 namespace mbtls::bench {
 namespace {
 
-/// Seconds of measurement per primitive (after one warmup call).
+/// Seconds of measurement per primitive and side (after one warmup call).
 double g_budget = 0.2;
-
-/// Mean wall time per call in microseconds, growing the iteration count
-/// until the budget is filled (so fast and slow primitives are measured with
-/// comparable noise).
-template <typename F>
-double us_per_op(F&& f) {
-  f();  // warmup
-  long iters = 1;
-  for (;;) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (long i = 0; i < iters; ++i) f();
-    const double dt =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    if (dt >= g_budget || iters >= (1L << 30)) {
-      return dt / static_cast<double>(iters) * 1e6;
-    }
-    const double target = dt > 0 ? g_budget / dt * 1.2 : 16.0;
-    iters = static_cast<long>(static_cast<double>(iters) * std::min(target, 16.0)) + 1;
-  }
-}
 
 struct Metric {
   std::string name;
@@ -64,6 +45,55 @@ struct Metric {
   double speedup = 0;  // always >1 means the fast path wins
 };
 
+/// Seconds taken by `n` back-to-back calls of `f`.
+template <typename F>
+double time_calls(F& f, long n) {
+  const auto t0 = std::chrono::steady_clock::now();
+  for (long i = 0; i < n; ++i) f();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+/// How many calls of `f` fill about `seconds` (at least one).
+template <typename F>
+long calls_per(F& f, double seconds) {
+  long n = 1;
+  double dt = time_calls(f, n);
+  while (dt < seconds / 8 && n < (1L << 30)) {
+    n *= 8;
+    dt = time_calls(f, n);
+  }
+  return std::max(1L, static_cast<long>(static_cast<double>(n) * seconds / std::max(dt, 1e-9)));
+}
+
+/// Times `fast` against `reference` in alternating short rounds and keeps
+/// each side's fastest round. Interleaving puts both sides under the same
+/// host conditions (steal, frequency), and the minimum drops the rounds a
+/// burst of noise slowed down, so the ratio moves with the code, not the
+/// host. `bytes` == 0 reports microseconds per call; otherwise MB/s over
+/// `bytes` per call.
+template <typename F, typename R>
+Metric compare(std::string name, std::size_t bytes, F&& fast, R&& reference) {
+  constexpr int kRounds = 10;
+  const double round_s = g_budget / kRounds;
+  fast();  // warmup
+  reference();
+  const long fast_calls = calls_per(fast, round_s);
+  const long reference_calls = calls_per(reference, round_s);
+  double fast_us = 1e300, reference_us = 1e300;
+  for (int round = 0; round < kRounds; ++round) {
+    fast_us = std::min(fast_us, time_calls(fast, fast_calls) * 1e6 / static_cast<double>(fast_calls));
+    reference_us = std::min(reference_us, time_calls(reference, reference_calls) * 1e6 /
+                                              static_cast<double>(reference_calls));
+  }
+  Metric m{std::move(name), bytes == 0 ? "us_per_op" : "mb_per_s", fast_us, reference_us,
+           reference_us / fast_us};
+  if (bytes != 0) {  // bytes/us == MB/s
+    m.fast = static_cast<double>(bytes) / fast_us;
+    m.reference = static_cast<double>(bytes) / reference_us;
+  }
+  return m;
+}
+
 void p256_metrics(std::vector<Metric>& out) {
   const auto& curve = ec::P256::instance();
   crypto::Drbg rng_local("bench-micro-p256", 1);
@@ -71,39 +101,27 @@ void p256_metrics(std::vector<Metric>& out) {
   const ec::U256 k2 = curve.random_scalar(rng_local);
   const ec::AffinePoint q = curve.mul_base_reference(k2);
 
-  Metric base{"p256_mul_base", "us_per_op", 0, 0, 0};
-  base.fast = us_per_op([&] { (void)curve.mul_base(k1); });
-  base.reference = us_per_op([&] { (void)curve.mul_base_reference(k1); });
-  base.speedup = base.reference / base.fast;
-  out.push_back(base);
-
-  Metric mul{"p256_mul", "us_per_op", 0, 0, 0};
-  mul.fast = us_per_op([&] { (void)curve.mul(k1, q); });
-  mul.reference = us_per_op([&] { (void)curve.mul_reference(k1, q); });
-  mul.speedup = mul.reference / mul.fast;
-  out.push_back(mul);
-
-  Metric ma{"p256_mul_add", "us_per_op", 0, 0, 0};
-  ma.fast = us_per_op([&] { (void)curve.mul_add(k1, k2, q); });
-  ma.reference = us_per_op([&] { (void)curve.mul_add_reference(k1, k2, q); });
-  ma.speedup = ma.reference / ma.fast;
-  out.push_back(ma);
+  out.push_back(compare("p256_mul_base", 0, [&] { (void)curve.mul_base(k1); },
+                        [&] { (void)curve.mul_base_reference(k1); }));
+  out.push_back(compare("p256_mul", 0, [&] { (void)curve.mul(k1, q); },
+                        [&] { (void)curve.mul_reference(k1, q); }));
+  out.push_back(compare("p256_mul_add", 0, [&] { (void)curve.mul_add(k1, k2, q); },
+                        [&] { (void)curve.mul_add_reference(k1, k2, q); }));
 
   // A certificate-shaped verify: SHA-384 over a 165-byte message, the size
   // of the randoms plus ECDHE parameters a ServerKeyExchange signs.
   const ec::EcdsaKeyPair key = ec::ecdsa_generate(rng_local);
   const Bytes msg = rng_local.bytes(165);
   const Bytes sig = ec::ecdsa_sign(key, crypto::HashAlgo::kSha384, msg, rng_local);
-  Metric verify{"ecdsa_verify", "us_per_op", 0, 0, 0};
-  verify.fast = us_per_op([&] {
-    if (!ec::ecdsa_verify(key.public_key, crypto::HashAlgo::kSha384, msg, sig)) std::abort();
-  });
-  verify.reference = us_per_op([&] {
-    if (!ec::ecdsa_verify_reference(key.public_key, crypto::HashAlgo::kSha384, msg, sig))
-      std::abort();
-  });
-  verify.speedup = verify.reference / verify.fast;
-  out.push_back(verify);
+  out.push_back(compare(
+      "ecdsa_verify", 0,
+      [&] {
+        if (!ec::ecdsa_verify(key.public_key, crypto::HashAlgo::kSha384, msg, sig)) std::abort();
+      },
+      [&] {
+        if (!ec::ecdsa_verify_reference(key.public_key, crypto::HashAlgo::kSha384, msg, sig))
+          std::abort();
+      }));
 }
 
 /// Forces a crypto backend for the enclosing scope (bench-local copy of the
@@ -135,29 +153,20 @@ void gcm_metrics(std::vector<Metric>& out) {
   for (const std::size_t size : {std::size_t{1500}, std::size_t{8192}}) {
     const Bytes plaintext = rng_local.bytes(size);
     Bytes scratch(size + crypto::AesGcm::kTagSize);
-
-    Metric seal{"aes_gcm_seal_" + std::to_string(size), "mb_per_s", 0, 0, 0};
-    const double fast_us = us_per_op([&] { aead.seal_into(iv, aad, plaintext, scratch); });
-    const double ref_us = us_per_op([&] { (void)aead.seal_reference(iv, aad, plaintext); });
-    seal.fast = static_cast<double>(size) / fast_us;  // bytes/us == MB/s
-    seal.reference = static_cast<double>(size) / ref_us;
-    seal.speedup = seal.fast / seal.reference;
-    out.push_back(seal);
-
+    out.push_back(compare("aes_gcm_seal_" + std::to_string(size), size,
+                          [&] { aead.seal_into(iv, aad, plaintext, scratch); },
+                          [&] { (void)aead.seal_reference(iv, aad, plaintext); }));
     if (size == 8192) {
       const Bytes sealed = aead.seal(iv, aad, plaintext);
       Bytes open_scratch(size);
-      Metric open{"aes_gcm_open_" + std::to_string(size), "mb_per_s", 0, 0, 0};
-      const double fo_us = us_per_op([&] {
-        if (!aead.open_into(iv, aad, sealed, open_scratch)) std::abort();
-      });
-      const double ro_us = us_per_op([&] {
-        if (!aead.open_reference(iv, aad, sealed)) std::abort();
-      });
-      open.fast = static_cast<double>(size) / fo_us;
-      open.reference = static_cast<double>(size) / ro_us;
-      open.speedup = open.fast / open.reference;
-      out.push_back(open);
+      out.push_back(compare(
+          "aes_gcm_open_" + std::to_string(size), size,
+          [&] {
+            if (!aead.open_into(iv, aad, sealed, open_scratch)) std::abort();
+          },
+          [&] {
+            if (!aead.open_reference(iv, aad, sealed)) std::abort();
+          }));
     }
   }
 }
@@ -180,29 +189,20 @@ void gcm_accel_metrics(std::vector<Metric>& out) {
   for (const std::size_t size : {std::size_t{1500}, std::size_t{8192}}) {
     const Bytes plaintext = rng_local.bytes(size);
     Bytes scratch(size + crypto::AesGcm::kTagSize);
-
-    Metric seal{"aes_gcm_seal_" + std::to_string(size) + "_aesni", "mb_per_s", 0, 0, 0};
-    const double fast_us = us_per_op([&] { accel.seal_into(iv, aad, plaintext, scratch); });
-    const double ref_us = us_per_op([&] { scalar.seal_into(iv, aad, plaintext, scratch); });
-    seal.fast = static_cast<double>(size) / fast_us;
-    seal.reference = static_cast<double>(size) / ref_us;
-    seal.speedup = seal.fast / seal.reference;
-    out.push_back(seal);
-
+    out.push_back(compare("aes_gcm_seal_" + std::to_string(size) + "_aesni", size,
+                          [&] { accel.seal_into(iv, aad, plaintext, scratch); },
+                          [&] { scalar.seal_into(iv, aad, plaintext, scratch); }));
     if (size == 8192) {
       const Bytes sealed = accel.seal(iv, aad, plaintext);
       Bytes open_scratch(size);
-      Metric open{"aes_gcm_open_" + std::to_string(size) + "_aesni", "mb_per_s", 0, 0, 0};
-      const double fo_us = us_per_op([&] {
-        if (!accel.open_into(iv, aad, sealed, open_scratch)) std::abort();
-      });
-      const double ro_us = us_per_op([&] {
-        if (!scalar.open_into(iv, aad, sealed, open_scratch)) std::abort();
-      });
-      open.fast = static_cast<double>(size) / fo_us;
-      open.reference = static_cast<double>(size) / ro_us;
-      open.speedup = open.fast / open.reference;
-      out.push_back(open);
+      out.push_back(compare(
+          "aes_gcm_open_" + std::to_string(size) + "_aesni", size,
+          [&] {
+            if (!accel.open_into(iv, aad, sealed, open_scratch)) std::abort();
+          },
+          [&] {
+            if (!scalar.open_into(iv, aad, sealed, open_scratch)) std::abort();
+          }));
     }
   }
 }
@@ -216,11 +216,8 @@ void mod_exp_metric(std::vector<Metric>& out) {
   const bn::BigInt base = bn::BigInt::from_bytes(rng_local.bytes(256)) % modulus;
   const bn::BigInt exponent = bn::BigInt::from_bytes(rng_local.bytes(256));
 
-  Metric m{"mod_exp_2048", "us_per_op", 0, 0, 0};
-  m.fast = us_per_op([&] { (void)base.mod_exp(exponent, modulus); });
-  m.reference = us_per_op([&] { (void)base.mod_exp_reference(exponent, modulus); });
-  m.speedup = m.reference / m.fast;
-  out.push_back(m);
+  out.push_back(compare("mod_exp_2048", 0, [&] { (void)base.mod_exp(exponent, modulus); },
+                        [&] { (void)base.mod_exp_reference(exponent, modulus); }));
 }
 
 void record_metric(std::vector<Metric>& out) {
@@ -229,24 +226,15 @@ void record_metric(std::vector<Metric>& out) {
   const std::size_t size = 8192;
   const Bytes payload = rng_local.bytes(size);
 
-  Metric m{"record_seal_8192", "mb_per_s", 0, 0, 0};
-  {
-    tls::HopChannel channel(keys);
-    Bytes wire;
-    const double us = us_per_op([&] {
-      wire.clear();  // capacity is reused — steady state allocates nothing
-      channel.seal_into(tls::ContentType::kApplicationData, payload, wire);
-    });
-    m.fast = static_cast<double>(size) / us;
-  }
-  {
-    tls::HopChannel channel(keys);
-    const double us = us_per_op(
-        [&] { (void)channel.seal(tls::ContentType::kApplicationData, payload); });
-    m.reference = static_cast<double>(size) / us;
-  }
-  m.speedup = m.fast / m.reference;
-  out.push_back(m);
+  tls::HopChannel fast_channel(keys), reference_channel(keys);
+  Bytes wire;
+  out.push_back(compare(
+      "record_seal_8192", size,
+      [&] {
+        wire.clear();  // capacity is reused — steady state allocates nothing
+        fast_channel.seal_into(tls::ContentType::kApplicationData, payload, wire);
+      },
+      [&] { (void)reference_channel.seal(tls::ContentType::kApplicationData, payload); }));
 }
 
 void record_trace_metric(std::vector<Metric>& out) {
@@ -259,26 +247,19 @@ void record_trace_metric(std::vector<Metric>& out) {
   // branch unconditionally. With no sink attached, seal_into must stay
   // within noise of the raw AEAD data plane — the branch plus record
   // framing is all that separates them at 8 KB.
-  Metric m{"record_seal_trace_off_8192", "mb_per_s", 0, 0, 0};
-  {
-    tls::HopChannel channel(keys);  // tracing compiled in, no sink attached
-    Bytes wire;
-    const double us = us_per_op([&] {
-      wire.clear();
-      channel.seal_into(tls::ContentType::kApplicationData, payload, wire);
-    });
-    m.fast = static_cast<double>(size) / us;
-  }
-  {
-    const crypto::AesGcm aead(keys.key);
-    const Bytes iv = rng_local.bytes(12);
-    const Bytes aad = rng_local.bytes(13);
-    Bytes scratch(size + crypto::AesGcm::kTagSize);
-    const double us = us_per_op([&] { aead.seal_into(iv, aad, payload, scratch); });
-    m.reference = static_cast<double>(size) / us;
-  }
-  m.speedup = m.fast / m.reference;
-  out.push_back(m);
+  tls::HopChannel channel(keys);  // tracing compiled in, no sink attached
+  Bytes wire;
+  const crypto::AesGcm aead(keys.key);
+  const Bytes iv = rng_local.bytes(12);
+  const Bytes aad = rng_local.bytes(13);
+  Bytes scratch(size + crypto::AesGcm::kTagSize);
+  out.push_back(compare(
+      "record_seal_trace_off_8192", size,
+      [&] {
+        wire.clear();
+        channel.seal_into(tls::ContentType::kApplicationData, payload, wire);
+      },
+      [&] { aead.seal_into(iv, aad, payload, scratch); }));
 }
 
 }  // namespace

@@ -99,7 +99,7 @@ inline std::uint32_t load_col(const std::uint8_t* p) {
 
 }  // namespace
 
-Aes::Aes(ByteView key) : key_size_(key.size()) {
+Aes::Aes(ByteView key) {
   int nk;  // key length in 32-bit words
   switch (key.size()) {
     case 16: nk = 4; rounds_ = 10; break;

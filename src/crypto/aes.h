@@ -35,8 +35,6 @@ class Aes {
   /// generator runs on this.
   void encrypt4(const std::uint8_t in[64], std::uint8_t out[64]) const;
 
-  std::size_t key_size() const { return key_size_; }
-
   /// True when this instance encrypts via the AES-NI backend (captured from
   /// active_backend() at construction; see crypto/backend.h).
   bool accelerated() const { return accel_; }
@@ -45,7 +43,6 @@ class Aes {
   // AesGcm reads the raw schedule + accel flag to drive the fused CTR path.
   friend class AesGcm;
 
-  std::size_t key_size_;
   int rounds_;
   bool accel_ = false;
   // Round keys stored as bytes, 16 per round (+1 for the initial AddRoundKey).

@@ -13,8 +13,6 @@ namespace mbtls::ec {
 struct EcdsaKeyPair {
   U256 private_key;   // d in [1, n-1]
   AffinePoint public_key;  // Q = d*G
-
-  Bytes public_bytes() const { return P256::instance().encode_point(public_key); }
 };
 
 /// Generate a fresh key pair from `rng`.

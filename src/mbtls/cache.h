@@ -1,191 +1,16 @@
-// Million-user control plane: the shared, bounded, thread-safe caches that
-// amortize per-session control-plane work across a fleet of sessions (see
-// DESIGN.md "Control plane").
-//
-//  * ShardedSessionCache — server-side resumption state behind the same
-//    tls::SessionCache interface the engine already consults, but striped
-//    over N mutex-guarded LRU shards: concurrent server loops touch
-//    disjoint shards and never contend on one global lock, and
-//    eviction wipes the dead entry's master secret before the memory
-//    returns to the allocator.
-//  * CertPool — a deduplicating pool of parsed certificates keyed by the
-//    SHA-256 of the DER. A fleet of sessions to the same 500 origins parses
-//    each distinct certificate once; every other handshake gets a
-//    refcounted pointer to the shared parse. Each pooled certificate also
-//    remembers its signature verdict per issuer key, so its signature is
-//    verified once, not once per handshake.
-//  * QuoteVerifyCache — memoized sgx::verify_quote keyed by measurement
-//    (Knauth et al.: attestation evidence is reused across connections, so
-//    its ECDSA verification is a per-quote cost, not a per-handshake one),
-//    bounded per shard.
+// The pre-tls:: names of the control-plane caches (tls/cache.h). They exist
+// only because the socket benchmark (sockbench/), which is frozen so that
+// runs stay comparable across commits, still names them under mb::. Code in
+// the repository uses the tls:: names.
 #pragma once
 
-#include <atomic>
-#include <deque>
-#include <list>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <optional>
-#include <string>
-#include <vector>
-
-#include "tls/engine.h"
-#include "tls/session.h"
-#include "x509/certificate.h"
+#include "tls/cache.h"
 
 namespace mbtls::mb {
 
-/// Counters every control-plane cache exposes. Snapshot semantics: values
-/// are read individually from relaxed atomics; totals may be mid-update
-/// with respect to each other, which is fine for metrics.
-struct CacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t stores = 0;
-  std::uint64_t evictions = 0;
-
-  double hit_rate() const {
-    const std::uint64_t total = hits + misses;
-    return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
-  }
-};
-
-/// Sharded, bounded, thread-safe session cache (drop-in for the engine's
-/// Config::session_cache). Session IDs are uniform random 32-byte strings,
-/// so a cheap FNV prefix hash spreads them evenly over shards.
-class ShardedSessionCache : public tls::SessionCache {
- public:
-  struct Options {
-    std::size_t shards = 16;             // rounded up to a power of two
-    std::size_t capacity_per_shard = 4096;  // LRU-evicted beyond this
-  };
-
-  ShardedSessionCache();
-  explicit ShardedSessionCache(Options options);
-  ~ShardedSessionCache() override;
-
-  void store_by_id(const tls::SessionState& state) override;
-  std::optional<tls::SessionState> lookup_by_id(ByteView session_id) const override;
-  void store_by_peer(const std::string& peer, const tls::SessionState& state) override;
-  std::optional<tls::SessionState> lookup_by_peer(const std::string& peer) const override;
-
-  void clear() override;
-  std::size_t size() const override;
-
-  std::size_t shard_count() const { return shards_.size(); }
-  CacheStats stats() const;
-
-  /// Per-shard by-id entry counts — how evenly FNV sharding spread the
-  /// fleet's sessions. Multi-loop deployments report this next to the
-  /// per-loop accept balance (bench_c10k --loops) to show neither layer of
-  /// sharding collapsed onto one stripe.
-  std::vector<std::size_t> shard_sizes() const;
-
- private:
-  struct Entry {
-    Bytes key;
-    tls::SessionState state;  // dtor wipes master secret + key material
-  };
-  /// One LRU domain: most-recent at the front, index into the list.
-  struct Store {
-    std::list<Entry> lru;
-    std::map<Bytes, std::list<Entry>::iterator> index;
-  };
-  struct Shard {
-    mutable std::mutex mu;
-    Store by_id;
-    Store by_peer;
-  };
-
-  Shard& shard_for(ByteView key) const;
-  void store_into(Store& store, ByteView key, const tls::SessionState& state);
-  std::optional<tls::SessionState> lookup_in(Store& store, ByteView key) const;
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::size_t capacity_per_shard_;
-  mutable std::atomic<std::uint64_t> hits_{0}, misses_{0}, stores_{0}, evictions_{0};
-};
-
-/// Deduplicating pool of parsed certificates, keyed by SHA-256(DER).
-/// intern() either returns the existing shared parse (refcounted — entries
-/// stay alive while any session still points at them) or parses and
-/// publishes a new one. Throws DecodeError exactly like Certificate::parse.
-///
-/// verify_signature() memoizes Certificate::verify_signature per pooled
-/// entry, keyed on the entry's DER digest plus the issuer key's SPKI DER.
-/// The verdict is a pure function of those two (the DER fixes the signed
-/// bytes, the algorithm and the signature), so both verdicts are kept; a
-/// different issuer key under the same name is a different key and is
-/// verified afresh. Everything else about a chain (dates, hostname, CA
-/// flag, issuer names) is the caller's per-handshake work.
-class CertPool : public tls::CertIntern {
- public:
-  explicit CertPool(std::size_t shards = 16);
-
-  std::shared_ptr<const x509::Certificate> intern(ByteView der) override;
-  bool verify_signature(const x509::Certificate& cert,
-                        const x509::PublicKey& issuer_key) override;
-
-  /// Number of distinct certificates currently pooled.
-  std::size_t size() const;
-  /// Drop entries no session references anymore; returns how many died.
-  std::size_t purge_unused();
-  void clear();
-  /// intern() hits (shared parse) and misses (fresh parse).
-  CacheStats stats() const;
-  /// verify_signature() hits (memoized verdict) and misses (a real
-  /// signature verification).
-  CacheStats signature_stats() const;
-
- private:
-  /// Issuer keys remembered per certificate. A certificate has one real
-  /// issuer; the cap only bounds a peer presenting one leaf under many
-  /// forged intermediates.
-  static constexpr std::size_t kVerdictsPerCert = 4;
-  struct Entry {
-    std::shared_ptr<const x509::Certificate> cert;
-    std::vector<std::pair<Bytes, bool>> verdicts;  // issuer SPKI DER, valid?
-  };
-  struct Shard {
-    mutable std::mutex mu;
-    std::map<Bytes, Entry> by_digest;
-  };
-
-  Shard& shard_for(ByteView digest) const;
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-  mutable std::atomic<std::uint64_t> hits_{0}, misses_{0}, sig_hits_{0}, sig_misses_{0};
-};
-
-/// Memoized attestation-quote verification, sharded by measurement. Both
-/// verdicts are cached: verify_quote is a pure function of
-/// (measurement, report_data, signature), so a cached false is as sound as
-/// a cached true — and it stops a flood of replayed-garbage quotes from
-/// burning an ECDSA verification each. A quote bound to a fresh handshake
-/// transcript can never hit again, so each shard keeps at most
-/// kCapacityPerShard verdicts and evicts the oldest beyond that.
-class QuoteVerifyCache : public tls::QuoteVerifier {
- public:
-  static constexpr std::size_t kCapacityPerShard = 256;
-
-  explicit QuoteVerifyCache(std::size_t shards = 16);
-
-  bool verify(ByteView measurement, ByteView report_data, ByteView signature) override;
-
-  std::size_t size() const;
-  void clear();
-  CacheStats stats() const;
-
- private:
-  struct Shard {
-    mutable std::mutex mu;
-    std::map<Bytes, bool> verdicts;  // SHA-256(meas || rd || sig) -> verdict
-    std::deque<Bytes> order;         // the same keys, oldest first
-  };
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-  mutable std::atomic<std::uint64_t> hits_{0}, misses_{0}, evictions_{0};
-};
+using ShardedSessionCache = tls::SessionCache;
+using CertPool = tls::CertPool;
+using QuoteVerifyCache = tls::QuoteVerifyCache;
+using CacheStats = tls::CacheStats;
 
 }  // namespace mbtls::mb

@@ -64,7 +64,6 @@ class Network {
 
   NodeId add_node(std::string name);
   const std::string& node_name(NodeId id) const { return names_.at(id); }
-  std::size_t node_count() const { return names_.size(); }
 
   /// Add a bidirectional link.
   void add_link(NodeId a, NodeId b, const LinkConfig& config);

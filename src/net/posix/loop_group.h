@@ -15,7 +15,7 @@
 //    or dialed them; nothing ever migrates. Everything a loop touches is
 //    single-threaded — exactly the discipline EpollLoop already demands —
 //    so N loops need no locks beyond what they share deliberately: the
-//    process-wide control-plane caches (mb::ShardedSessionCache, CertPool,
+//    process-wide control-plane caches (tls::SessionCache, CertPool,
 //    QuoteVerifyCache), which are mutex-striped for exactly this shape.
 //  * Outbound dials are assigned, not raced. pick_loop() implements
 //    round-robin or least-sessions placement; post_dial() runs the caller's
@@ -95,9 +95,6 @@ class LoopGroup {
   bool running() const { return running_.load(std::memory_order_acquire); }
 
   /// Kernel-sharded accepts per loop (how balanced SO_REUSEPORT left us).
-  std::uint64_t accepted_on(std::size_t i) const {
-    return accepted_[i]->load(std::memory_order_relaxed);
-  }
   std::vector<std::uint64_t> accept_counts() const;
 
   /// CPU nanoseconds burned by loop `i`'s driver thread so far (sampled on

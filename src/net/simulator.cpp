@@ -13,7 +13,6 @@ RunStatus Simulator::run(std::size_t max_events) {
     Event ev = queue_.top();
     queue_.pop();
     now_ = ev.at;
-    ++events_processed_;
     ++fired;
     ev.fn();
   }
@@ -27,7 +26,6 @@ RunStatus Simulator::run_until(Time deadline, std::size_t max_events) {
     Event ev = queue_.top();
     queue_.pop();
     now_ = ev.at;
-    ++events_processed_;
     ++fired;
     ev.fn();
   }

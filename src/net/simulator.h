@@ -35,7 +35,6 @@ class Simulator : public Scheduler {
   RunStatus run_until(Time deadline, std::size_t max_events = 10'000'000);
 
   bool idle() const { return queue_.empty(); }
-  std::size_t events_processed() const { return events_processed_; }
 
  private:
   struct Event {
@@ -52,7 +51,6 @@ class Simulator : public Scheduler {
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::size_t events_processed_ = 0;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
 };
 

@@ -26,8 +26,6 @@ void Host::listen(Port port, AcceptHandler handler) {
   listeners_[port] = std::move(handler);
 }
 
-void Host::stop_listening(Port port) { listeners_.erase(port); }
-
 Port Host::listen_stream(Port port, StreamHandler on_accept) {
   listen(port, [handler = std::move(on_accept)](Socket& s) { handler(s); });
   return port;

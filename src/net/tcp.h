@@ -104,7 +104,6 @@ class Host final : public Transport {
 
   using AcceptHandler = std::function<void(Socket&)>;
   void listen(Port port, AcceptHandler handler);
-  void stop_listening(Port port);
 
   /// Open a connection; returns immediately, `on_connect` fires when the
   /// handshake completes.

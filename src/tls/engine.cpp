@@ -1,6 +1,5 @@
 #include "tls/engine.h"
 
-#include "crypto/gcm.h"
 #include "crypto/sha2.h"
 #include "tls/ticket.h"
 #include "ec/ecdh.h"
@@ -38,7 +37,6 @@ Engine::Engine(Config config)
 Engine::~Engine() {
   secure_wipe(pre_master_secret_);
   secure_wipe(master_secret_);
-  secure_wipe(config_.ticket_key);
   // key_block_, offered_session_ and the hop channels wipe themselves
   // (DirectionKeys / SessionState / AesGcm destructors).
 }
@@ -241,17 +239,9 @@ void Engine::handle_handshake_message(const HandshakeMsg& msg) {
 
 Bytes Engine::make_ticket(const SessionState& state) {
   const Bytes plain = encode_ticket_state(state);
-  if (config_.ticket_keys) {
-    return config_.ticket_keys->seal(plain);
-  }
-  if (config_.ticket_key.empty() && config_.enclave) {
-    return config_.enclave->seal(plain);
-  }
-  if (config_.ticket_key.size() != 32)
-    throw ProtocolError(AlertDescription::kInternalError, "no ticket key configured");
-  const crypto::AesGcm gcm(config_.ticket_key);
-  const Bytes iv = rng_.bytes(12);
-  return concat({iv, gcm.seal(iv, {}, plain)});
+  if (config_.ticket_keys) return config_.ticket_keys->seal(plain);
+  if (config_.enclave) return config_.enclave->seal(plain);
+  throw ProtocolError(AlertDescription::kInternalError, "no ticket key configured");
 }
 
 std::optional<SessionState> Engine::open_ticket(ByteView ticket, bool* stale_key) const {
@@ -261,11 +251,8 @@ std::optional<SessionState> Engine::open_ticket(ByteView ticket, bool* stale_key
       if (stale_key) *stale_key = opened->stale;
       plain = std::move(opened->plaintext);
     }
-  } else if (config_.ticket_key.empty() && config_.enclave) {
+  } else if (config_.enclave) {
     plain = config_.enclave->unseal(ticket);
-  } else if (config_.ticket_key.size() == 32 && ticket.size() > 12) {
-    const crypto::AesGcm gcm(config_.ticket_key);
-    plain = gcm.open(ticket.first(12), {}, ticket.subspan(12));
   }
   if (!plain) return std::nullopt;
   auto state = decode_ticket_state(*plain);

@@ -29,6 +29,7 @@
 #include "ec/ecdh.h"
 #include "sgx/attestation.h"
 #include "sgx/enclave.h"
+#include "tls/cache.h"
 #include "tls/dh.h"
 #include "tls/messages.h"
 #include "tls/record.h"
@@ -39,31 +40,6 @@
 namespace mbtls::tls {
 
 class TicketKeyManager;
-
-/// Dedup pool for parsed certificates (implemented by mb::CertPool): the
-/// engine interns each DER blob instead of re-parsing it, so a fleet of
-/// sessions seeing the same chains shares one parsed copy per certificate,
-/// and checks the chain's signatures through the pool, so a certificate's
-/// signature under a given issuer key is verified once, not per handshake.
-class CertIntern {
- public:
-  virtual ~CertIntern() = default;
-  virtual std::shared_ptr<const x509::Certificate> intern(ByteView der) = 0;
-  /// `cert.verify_signature(issuer_key)`, answered from a memo when `cert`
-  /// is pooled and this issuer key was checked against it before.
-  virtual bool verify_signature(const x509::Certificate& cert,
-                                const x509::PublicKey& issuer_key) = 0;
-};
-
-/// Attestation-quote verification hook (implemented by mb::QuoteVerifyCache):
-/// memoizes sgx::verify_quote so identical quotes — middlebox fleets present
-/// the same measurement-bound quote to many verifiers — cost one ECDSA
-/// verification process-wide instead of one per handshake.
-class QuoteVerifier {
- public:
-  virtual ~QuoteVerifier() = default;
-  virtual bool verify(ByteView measurement, ByteView report_data, ByteView signature) = 0;
-};
 
 /// Exported connection protection state (the "bridge key" of Figure 4).
 struct ConnectionKeys {
@@ -106,23 +82,21 @@ struct Config {
 
   // Ticket-based resumption (RFC 5077 / §3.5). Servers issue a
   // NewSessionTicket on full handshakes; clients cache and offer it. The
-  // ticket is sealed with `ticket_key` (AES-256-GCM) or, when `enclave` is
-  // set and no key is given, with the enclave's sealing key — the paper's
-  // observation that "only the enclave knows the key needed to decrypt the
-  // session ticket".
+  // ticket is sealed by `ticket_keys`, a process-wide rotating key manager
+  // (src/tls/ticket.h; a fixed key is a manager that never rotates), or,
+  // when only `enclave` is set, with the enclave's sealing key — the
+  // paper's observation that "only the enclave knows the key needed to
+  // decrypt the session ticket". With neither, issuing a ticket fails the
+  // handshake. Tickets sealed under the manager's previous key still resume
+  // but trigger a fresh NewSessionTicket in the abbreviated flight, so
+  // clients ride across rotations without ever falling off the fast path.
   bool enable_session_tickets = false;
-  Bytes ticket_key;  // 32 bytes; empty = derive from enclave (or refuse)  // lint: secret
-  // Scale-out alternative to the fixed `ticket_key`: a process-wide rotating
-  // key manager (src/tls/ticket.h). Takes precedence when set. Tickets
-  // sealed under the manager's previous key still resume but trigger a
-  // fresh NewSessionTicket in the abbreviated flight, so clients ride
-  // across rotations without ever falling off the fast path.
   TicketKeyManager* ticket_keys = nullptr;
 
-  // Control-plane caches (src/mbtls/cache.h). Both optional; null = the
+  // Control-plane caches (src/tls/cache.h). Both optional; null = the
   // uncached per-handshake work (parse every chain, verify every quote).
-  CertIntern* cert_pool = nullptr;
-  QuoteVerifier* quote_verifier = nullptr;
+  CertPool* cert_pool = nullptr;
+  QuoteVerifyCache* quote_verifier = nullptr;
 
   // SGX attestation (extended handshake, §3.4).
   sgx::Enclave* enclave = nullptr;     // if set: attest when asked, keys live in enclave
@@ -175,7 +149,7 @@ class Engine {
   explicit Engine(Config config);
 
   /// Scrubs handshake and session key material (pre-master, master, key
-  /// block, ticket key) before the memory is returned to the allocator.
+  /// block) before the memory is returned to the allocator.
   ~Engine();
   Engine(const Engine&) = delete;
   Engine(Engine&&) = default;

@@ -1,12 +1,9 @@
-// Session resumption state (§3.5 of the paper): ID-based resumption caches
-// plus the mbTLS twist that middlebox session state must also carry the
+// Session resumption state (§3.5 of the paper) and its ticket encoding,
+// with the mbTLS twist that middlebox session state must also carry the
 // primary session keys.
 #pragma once
 
-#include <map>
-#include <functional>
 #include <optional>
-#include <string>
 
 #include "tls/common.h"
 #include "util/bytes.h"
@@ -38,39 +35,12 @@ struct SessionState {
   }
 };
 
-/// Seal a SessionState into an opaque ticket (RFC 5077 style). `sealer`
-/// wraps whatever key protects tickets — a plain ticket key, or an SGX
-/// enclave's sealing key for mbTLS middleboxes (§3.5: "only the enclave
-/// knows the key needed to decrypt the session ticket").
+/// Serialize a SessionState into the plaintext of an opaque ticket
+/// (RFC 5077 style) and back. The engine seals that plaintext with a
+/// TicketKeyManager or, for mbTLS middleboxes, with an SGX enclave's sealing
+/// key (§3.5: "only the enclave knows the key needed to decrypt the session
+/// ticket"); the caches that hold SessionStates are in tls/cache.h.
 Bytes encode_ticket_state(const SessionState& state);
 std::optional<SessionState> decode_ticket_state(ByteView data);
-
-/// Server-side cache keyed by session ID; client-side keyed by peer name.
-///
-/// The methods are virtual so scale-out implementations (the sharded,
-/// bounded, thread-safe cache in src/mbtls/cache.h) slot into the same
-/// Config::session_cache pointer the engine already consults. This default
-/// implementation is the unbounded single-threaded map the unit tests and
-/// single-connection simulations use.
-class SessionCache {
- public:
-  virtual ~SessionCache() = default;
-
-  virtual void store_by_id(const SessionState& state);
-  virtual std::optional<SessionState> lookup_by_id(ByteView session_id) const;
-
-  virtual void store_by_peer(const std::string& peer, const SessionState& state);
-  virtual std::optional<SessionState> lookup_by_peer(const std::string& peer) const;
-
-  virtual void clear() {
-    by_id_.clear();
-    by_peer_.clear();
-  }
-  virtual std::size_t size() const { return by_id_.size() + by_peer_.size(); }
-
- private:
-  std::map<Bytes, SessionState> by_id_;
-  std::map<std::string, SessionState> by_peer_;
-};
 
 }  // namespace mbtls::tls

@@ -42,10 +42,6 @@ class Certificate {
   /// left-most wildcard support ("*.example.com").
   bool matches_hostname(std::string_view host) const;
 
-  bool valid_at(std::int64_t unix_seconds) const {
-    return unix_seconds >= info_.not_before && unix_seconds <= info_.not_after;
-  }
-
  private:
   Bytes der_;
   Bytes tbs_der_;  // the signed portion

@@ -37,7 +37,7 @@ VerifyStatus verify_chain(std::span<const Certificate> chain,
                           const VerifyOptions& options);
 
 /// Does `cert` carry a valid signature under `issuer_key`? The hook lets a
-/// caller answer from a memo of earlier verdicts (mb::CertPool); the default
+/// caller answer from a memo of earlier verdicts (tls::CertPool); the default
 /// is Certificate::verify_signature.
 using SignatureCheck =
     std::function<bool(const Certificate& cert, const PublicKey& issuer_key)>;

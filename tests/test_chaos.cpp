@@ -10,11 +10,11 @@
 // middlebox, bindings, TCP, and the fault-injected links.
 #include <gtest/gtest.h>
 
-#include "mbtls/cache.h"
 #include "mbtls/metrics.h"
 #include "mbtls/transport.h"
 #include "net/chaos.h"
 #include "tests/tls_test_util.h"
+#include "tls/cache.h"
 #include "tls/ticket.h"
 
 namespace mbtls::mb {
@@ -534,7 +534,7 @@ TEST(Chaos, TicketExchangeCorruptedMidRotation) {
   // virtual time, bit-identical per seed.
   auto episode = [](std::uint64_t seed) {
     tls::TicketKeyManager keys("chaos-ticket-keys", seed);
-    ShardedSessionCache client_cache({.shards = 2, .capacity_per_shard = 8});
+    tls::SessionCache client_cache({.shards = 2, .capacity_per_shard = 8});
     const OptionsHook customize = [&](ClientSession::Options& c,
                                       ServerSession::Options& s) {
       c.tls.session_cache = &client_cache;

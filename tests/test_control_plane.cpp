@@ -12,17 +12,19 @@
 #include <span>
 #include <thread>
 
-#include "mbtls/cache.h"
 #include "mbtls/transport.h"
 #include "net/simulator.h"
 #include "sgx/attestation.h"
 #include "tests/tls_test_util.h"
+#include "tls/cache.h"
 #include "tls/ticket.h"
 #include "x509/verify.h"
 
 namespace mbtls::mb {
 namespace {
 
+using tls::CertPool;
+using tls::QuoteVerifyCache;
 using tls::testing::make_identity;
 using tls::testing::pump;
 using tls::testing::test_ca;
@@ -34,10 +36,10 @@ tls::SessionState state_with_id(std::uint8_t tag) {
   return s;
 }
 
-// ------------------------------------------------- ShardedSessionCache
+// ------------------------------------------------- tls::SessionCache
 
 TEST(ShardedSessionCache, StoreLookupByIdAndPeer) {
-  ShardedSessionCache cache({.shards = 4, .capacity_per_shard = 8});
+  tls::SessionCache cache({.shards = 4, .capacity_per_shard = 8});
   EXPECT_EQ(cache.shard_count(), 4u);
 
   const auto s1 = state_with_id(1);
@@ -66,14 +68,14 @@ TEST(ShardedSessionCache, StoreLookupByIdAndPeer) {
 }
 
 TEST(ShardedSessionCache, ShardCountRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(ShardedSessionCache({.shards = 5}).shard_count(), 8u);
-  EXPECT_EQ(ShardedSessionCache({.shards = 0}).shard_count(), 1u);
-  EXPECT_EQ(ShardedSessionCache({.shards = 16}).shard_count(), 16u);
+  EXPECT_EQ(tls::SessionCache({.shards = 5}).shard_count(), 8u);
+  EXPECT_EQ(tls::SessionCache({.shards = 0}).shard_count(), 1u);
+  EXPECT_EQ(tls::SessionCache({.shards = 16}).shard_count(), 16u);
 }
 
 TEST(ShardedSessionCache, LruEvictionInSingleShard) {
   // One shard of capacity two makes LRU order observable.
-  ShardedSessionCache cache({.shards = 1, .capacity_per_shard = 2});
+  tls::SessionCache cache({.shards = 1, .capacity_per_shard = 2});
   const auto a = state_with_id(1), b = state_with_id(2), c = state_with_id(3);
   cache.store_by_id(a);
   cache.store_by_id(b);
@@ -88,7 +90,7 @@ TEST(ShardedSessionCache, LruEvictionInSingleShard) {
 }
 
 TEST(ShardedSessionCache, OverwriteInPlaceDoesNotGrowOrEvict) {
-  ShardedSessionCache cache({.shards = 1, .capacity_per_shard = 2});
+  tls::SessionCache cache({.shards = 1, .capacity_per_shard = 2});
   auto a = state_with_id(1);
   cache.store_by_id(a);
   a.master_secret = Bytes(48, 0xab);
@@ -104,7 +106,7 @@ TEST(ShardedSessionCache, EvictionChurnUnderTightCapacity) {
   // Push far more sessions than fit; every eviction runs the wiping
   // destructor path (the ASan job verifies no use-after-free in it) and
   // the cache never exceeds its configured bound.
-  ShardedSessionCache cache({.shards = 2, .capacity_per_shard = 4});
+  tls::SessionCache cache({.shards = 2, .capacity_per_shard = 4});
   crypto::Drbg rng("evict-churn", 0);
   for (int i = 0; i < 256; ++i) {
     tls::SessionState s;
@@ -119,10 +121,10 @@ TEST(ShardedSessionCache, EvictionChurnUnderTightCapacity) {
 }
 
 TEST(ShardedSessionCache, EngineResumesThroughPolymorphicCache) {
-  // The engine consults Config::session_cache through the virtual
-  // interface; a ShardedSessionCache drops in for the server side.
+  // The engine resumes through a many-shard server cache and the default
+  // client cache alike.
   const auto id = make_identity("ctrl.example");
-  ShardedSessionCache server_cache({.shards = 8, .capacity_per_shard = 64});
+  tls::SessionCache server_cache({.shards = 8, .capacity_per_shard = 64});
   tls::SessionCache client_cache;
 
   auto connect = [&](std::uint64_t seed) {
@@ -459,7 +461,7 @@ TEST(ControlPlaneConcurrency, ThreadsHammerEveryShard) {
   // Every worker slams all three caches plus the rotating ticket keys at
   // once while the main thread rotates mid-flight — the TSan preset build
   // of this test is the data-race proof for the control plane's locking.
-  ShardedSessionCache sessions({.shards = 8, .capacity_per_shard = 16});
+  tls::SessionCache sessions({.shards = 8, .capacity_per_shard = 16});
   CertPool certs(8);
   QuoteVerifyCache quotes(8);
   tls::TicketKeyManager keys("hammer-keys", 0);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "tests/mbtls_test_util.h"
+#include "tls/ticket.h"
 
 namespace mbtls::mb {
 namespace {
@@ -240,7 +241,7 @@ TEST(MbtlsResumption, EndpointTicketsCoexistWithMiddleboxes) {
   // which the middlebox has never seen), so the middlebox falls back to a
   // full secondary handshake — a correct mixed-mode session.
   ResumptionRig rig;
-  const Bytes ticket_key = crypto::Drbg("mb-ticket-key", 0).bytes(32);
+  tls::TicketKeyManager ticket_keys("mb-ticket-key", 0);
   auto copts = [&](std::uint64_t seed) {
     auto o = rig.client_opts(seed);
     o.tls.enable_session_tickets = true;
@@ -249,7 +250,7 @@ TEST(MbtlsResumption, EndpointTicketsCoexistWithMiddleboxes) {
   auto sopts = [&](std::uint64_t seed) {
     auto o = rig.server_opts(seed);
     o.tls.enable_session_tickets = true;
-    o.tls.ticket_key = ticket_key;
+    o.tls.ticket_keys = &ticket_keys;
     return o;
   };
   {

@@ -15,11 +15,11 @@
 #include <thread>
 #include <vector>
 
-#include "mbtls/cache.h"
 #include "mbtls/transport.h"
 #include "net/posix/epoll_loop.h"
 #include "net/posix/loop_group.h"
 #include "tests/tls_test_util.h"
+#include "tls/cache.h"
 
 namespace mbtls::mb {
 namespace {
@@ -443,7 +443,7 @@ struct GroupRig {
     server_group.stop();
   }
 
-  ShardedSessionCache session_cache;
+  tls::SessionCache session_cache;
   LoopGroup server_group, mbox_group, client_group;
   Port server_port = 0, mbox_port = 0;
   std::vector<std::vector<std::unique_ptr<GroupServerSide>>> server_sides;

@@ -18,7 +18,7 @@ using testing::test_ca;
 struct TicketRig {
   testing::ServerIdentity id = make_identity("tickets.example");
   SessionCache client_cache;
-  Bytes ticket_key = crypto::Drbg("ticket-key", 0).bytes(32);
+  TicketKeyManager ticket_keys{"ticket-key", 0};  // never rotated: a fixed key
 
   Config client_cfg(std::uint64_t seed) {
     Config cfg;
@@ -38,7 +38,7 @@ struct TicketRig {
     cfg.private_key = id.key;
     cfg.certificate_chain = id.chain;
     cfg.enable_session_tickets = true;
-    cfg.ticket_key = ticket_key;
+    cfg.ticket_keys = &ticket_keys;
     cfg.rng_label = "tkt-server";
     cfg.rng_seed = seed;
     return cfg;
@@ -89,8 +89,9 @@ TEST(TlsTickets, WrongTicketKeyFallsBackToFullHandshake) {
   // A different server instance with a rotated ticket key cannot decrypt
   // the ticket; it must fall back to a full handshake (and issue a fresh
   // ticket under the new key).
+  TicketKeyManager other_keys("rotated-key", 1);
   Config scfg = rig.server_cfg(32);
-  scfg.ticket_key = crypto::Drbg("rotated-key", 1).bytes(32);
+  scfg.ticket_keys = &other_keys;
   Engine client(rig.client_cfg(31));
   Engine server(scfg);
   client.start();
@@ -128,7 +129,7 @@ TEST(TlsTickets, TamperedTicketRejectedGracefully) {
 
 TEST(TlsTickets, EnclaveSealedTickets) {
   // An attested server seals tickets with its enclave sealing key: no
-  // ticket_key ever exists outside the enclave, and a different enclave
+  // ticket key ever exists outside the enclave, and a different enclave
   // (other code, or another machine) cannot decrypt them.
   sgx::Platform platform;
   sgx::Enclave& enclave = platform.launch("ticket-server-v1");
@@ -136,7 +137,7 @@ TEST(TlsTickets, EnclaveSealedTickets) {
 
   auto server_cfg = [&](std::uint64_t seed, sgx::Enclave* enc) {
     Config cfg = rig.server_cfg(seed);
-    cfg.ticket_key.clear();
+    cfg.ticket_keys = nullptr;
     cfg.enclave = enc;
     return cfg;
   };
@@ -193,6 +194,26 @@ TEST(TlsTickets, ServerWithoutTicketsIgnoresOffer) {
   const auto cached = rig.client_cache.lookup_by_peer("tickets.example");
   ASSERT_TRUE(cached.has_value());
   EXPECT_TRUE(cached->ticket.empty());
+}
+
+TEST(TlsTickets, ServerWithoutTicketKeyFailsExplicitly) {
+  // Tickets enabled but nothing to seal them with (no TicketKeyManager, no
+  // enclave): the handshake must end in an explicit failure on both sides,
+  // without hanging and without a ticket reaching the client.
+  TicketRig rig;
+  Config scfg = rig.server_cfg(92);
+  scfg.ticket_keys = nullptr;
+  Engine client(rig.client_cfg(91));
+  Engine server(scfg);
+  client.start();
+  EXPECT_LT(pump(client, server), 50);  // quiesced, not cut off
+  EXPECT_TRUE(server.failed());
+  EXPECT_EQ(server.last_alert(), AlertDescription::kInternalError);
+  EXPECT_EQ(server.error_message(), "no ticket key configured");
+  EXPECT_TRUE(client.failed());
+  EXPECT_EQ(client.last_alert(), AlertDescription::kInternalError);
+  EXPECT_FALSE(client.handshake_done());
+  EXPECT_FALSE(rig.client_cache.lookup_by_peer("tickets.example").has_value());
 }
 
 // ------------------------------------------------- rotating ticket keys

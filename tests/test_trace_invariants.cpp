@@ -14,9 +14,9 @@
 
 #include <set>
 
-#include "mbtls/cache.h"
 #include "mbtls/metrics.h"
 #include "tests/mbtls_test_util.h"
+#include "tls/cache.h"
 #include "tls/ticket.h"
 
 namespace mbtls::mb {
@@ -247,9 +247,9 @@ TEST(TraceInvariants, TicketResumptionThroughShardedCachesKeepsHopKeysFresh) {
   // the second connection resumes by a stale-but-valid ticket. Freshness
   // must be unaffected: pairwise-unique hop keys, all disjoint from the
   // first connection's.
-  mb::ShardedSessionCache client_cache({.shards = 4, .capacity_per_shard = 16});
-  mb::ShardedSessionCache server_cache({.shards = 4, .capacity_per_shard = 16});
-  mb::ShardedSessionCache mbox_cache({.shards = 4, .capacity_per_shard = 16});
+  tls::SessionCache client_cache({.shards = 4, .capacity_per_shard = 16});
+  tls::SessionCache server_cache({.shards = 4, .capacity_per_shard = 16});
+  tls::SessionCache mbox_cache({.shards = 4, .capacity_per_shard = 16});
   tls::TicketKeyManager keys("trace-ticket-keys", 0);
 
   TracedChain first;

@@ -9,10 +9,10 @@
 #include <functional>
 #include <memory>
 
-#include "mbtls/cache.h"
 #include "mbtls/transport.h"
 #include "net/posix/epoll_loop.h"
 #include "tests/tls_test_util.h"
+#include "tls/cache.h"
 
 namespace mbtls::mb {
 namespace {
@@ -96,9 +96,9 @@ struct Parties {
 /// abbreviated path; the ticket/middlebox mixed mode is pinned separately
 /// in test_mbtls_resumption.
 struct ResumptionState {
-  ShardedSessionCache client_cache{{.shards = 2, .capacity_per_shard = 8}};
-  ShardedSessionCache server_cache{{.shards = 2, .capacity_per_shard = 8}};
-  ShardedSessionCache mbox_cache{{.shards = 2, .capacity_per_shard = 8}};
+  tls::SessionCache client_cache{{.shards = 2, .capacity_per_shard = 8}};
+  tls::SessionCache server_cache{{.shards = 2, .capacity_per_shard = 8}};
+  tls::SessionCache mbox_cache{{.shards = 2, .capacity_per_shard = 8}};
 };
 
 /// Client ↔ middlebox ↔ server across the rig's three transports, via the
